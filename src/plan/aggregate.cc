@@ -119,18 +119,10 @@ Status HashAggregateOperator::Open(ExecContext* ctx) {
   group_index_.clear();
   pos_ = 0;
 
-  bool accumulated = false;
-  if (ctx->num_threads > 1 && ctx->pool != nullptr) {
-    std::vector<OperatorPtr> parts;
-    if (child_->CreatePartitions(PlanPartitionCount(*child_, *ctx),
-                                 &parts) &&
-        !parts.empty()) {
-      SIEVE_RETURN_IF_ERROR(OpenParallel(ctx, &parts));
-      accumulated = true;
-    }
-  }
-
-  if (!accumulated) {
+  std::vector<OperatorPtr> parts;
+  if (PlanMorsels(*child_, *ctx, &parts)) {
+    SIEVE_RETURN_IF_ERROR(OpenParallel(ctx, &parts));
+  } else {
     SIEVE_RETURN_IF_ERROR(child_->Open(ctx));
     input_schema_ = child_->schema();
     for (auto& g : group_by_) {

@@ -173,6 +173,16 @@ size_t PlanPartitionCount(const Operator& root, const ExecContext& ctx) {
   return std::min(by_size, threads * kMorselsPerThread);
 }
 
+bool PlanMorsels(const Operator& root, const ExecContext& ctx,
+                 std::vector<OperatorPtr>* parts) {
+  if (ctx.num_threads <= 1 || ctx.pool == nullptr) return false;
+  const size_t count = PlanPartitionCount(root, ctx);
+  if (count <= 1) return false;
+  // CreatePartitions contract: on success the clones replace `root`,
+  // which must then never be opened itself.
+  return root.CreatePartitions(count, parts) && !parts->empty();
+}
+
 Result<std::unique_ptr<QueryCursor>> QueryCursor::Open(OperatorPtr root,
                                                        const ExecContext& base) {
   std::unique_ptr<QueryCursor> cursor(new QueryCursor());
@@ -184,18 +194,12 @@ Result<std::unique_ptr<QueryCursor>> QueryCursor::Open(OperatorPtr root,
     cursor->ctx_.ctes = std::make_shared<CteCache>();
   }
   ExecContext* ctx = &cursor->ctx_;
-  if (ctx->num_threads > 1 && ctx->pool != nullptr) {
-    // CreatePartitions contract: partition clones replace the original
-    // root, which must then never be opened itself.
-    std::vector<OperatorPtr> parts;
-    if (cursor->root_->CreatePartitions(
-            PlanPartitionCount(*cursor->root_, *ctx), &parts) &&
-        !parts.empty()) {
-      SIEVE_RETURN_IF_ERROR(DrainPartitioned(parts, ctx, &cursor->schema_,
-                                             &cursor->buffered_));
-      cursor->partitioned_ = true;
-      return cursor;
-    }
+  std::vector<OperatorPtr> parts;
+  if (PlanMorsels(*cursor->root_, *ctx, &parts)) {
+    SIEVE_RETURN_IF_ERROR(DrainPartitioned(parts, ctx, &cursor->schema_,
+                                           &cursor->buffered_));
+    cursor->partitioned_ = true;
+    return cursor;
   }
   SIEVE_RETURN_IF_ERROR(cursor->root_->Open(ctx));
   cursor->schema_ = cursor->root_->schema();
@@ -296,15 +300,12 @@ Status Executor::Materialize(Operator* root, ExecContext* ctx, Schema* schema,
   // CTE cache; create it here. Parallel contexts got theirs at the query
   // root — lazy creation after workers exist would split the cache.
   if (ctx->ctes == nullptr) ctx->ctes = std::make_shared<CteCache>();
-  if (ctx->num_threads > 1 && ctx->pool != nullptr) {
-    // Several morsels per worker, claimed dynamically from the pool's
-    // shared atomic counter (see MorselCount) — skewed morsels no longer
-    // pin a static slice to one thread.
-    std::vector<OperatorPtr> parts;
-    if (root->CreatePartitions(PlanPartitionCount(*root, *ctx), &parts) &&
-        !parts.empty()) {
-      return DrainPartitioned(parts, ctx, schema, rows);
-    }
+  // Several morsels per worker, claimed dynamically from the pool's shared
+  // atomic counter — skewed morsels no longer pin a static slice to one
+  // thread.
+  std::vector<OperatorPtr> parts;
+  if (PlanMorsels(*root, *ctx, &parts)) {
+    return DrainPartitioned(parts, ctx, schema, rows);
   }
   return DrainSerial(root, ctx, schema, rows);
 }

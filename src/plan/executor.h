@@ -51,6 +51,16 @@ Status RunWorkers(ExecContext* ctx, size_t n,
 /// row order and ExecStats stay identical to a serial run at any count.
 size_t PlanPartitionCount(const Operator& root, const ExecContext& ctx);
 
+/// The one entry to morsel-parallel draining: fills *parts with
+/// PlanPartitionCount(root, ctx) partition clones of `root` and returns
+/// true, or returns false when the caller should drain `root` itself,
+/// serially and in place — the context is serial (num_threads <= 1 or no
+/// pool), the input sizes to a single morsel, or the subtree cannot
+/// partition. A one-morsel plan thus never pays for a clone, a worker
+/// context or a RunWorkers barrier.
+bool PlanMorsels(const Operator& root, const ExecContext& ctx,
+                 std::vector<OperatorPtr>* parts);
+
 /// Incremental (pull-based) execution of one planned query: rows are
 /// emitted in chunks through Next instead of materializing the whole
 /// result up front. This is what backs the session API's ResultCursor.
@@ -58,11 +68,11 @@ size_t PlanPartitionCount(const Operator& root, const ExecContext& ctx);
 /// Serial execution streams: each Next call pulls at most `max_rows` rows
 /// from the operator tree, so the peak footprint is one batch (plus
 /// whatever blocking operators buffer internally). Partition-parallel
-/// execution reuses the partition machinery wholesale: when the pipeline
-/// supports Operator::CreatePartitions, Open drains all partitions on the
-/// pool (exactly like Executor::Materialize) and Next serves slices of the
-/// buffer — rows, row order and ExecStats totals stay identical to a
-/// serial drain either way.
+/// execution reuses the partition machinery wholesale: when PlanMorsels
+/// splits the pipeline into more than one morsel, Open drains them all on
+/// the pool (exactly like Executor::Materialize) and Next serves slices of
+/// the buffer; a one-morsel pipeline streams like a serial one — rows, row
+/// order and ExecStats totals stay identical to a serial drain either way.
 ///
 /// The timeout clock starts at Open and keeps running between Next calls;
 /// a cursor held open counts against the query's budget. Stats() totals
@@ -138,13 +148,14 @@ class Executor {
  public:
   static Result<ResultSet> Run(Operator* root, ExecContext* ctx);
 
-  /// Drains `root` to completion into *schema / *rows. When
-  /// ctx->num_threads > 1, ctx->pool is set and the pipeline supports
-  /// partitioning (Operator::CreatePartitions), the partitions run on the
-  /// pool under per-worker contexts; per-worker ExecStats are merged into
-  /// ctx->stats at the barrier and the per-partition row vectors are
-  /// concatenated in partition order, so rows, row order and stat totals
-  /// are identical to a serial run. Falls back to a serial pull otherwise
+  /// Drains `root` to completion into *schema / *rows. When PlanMorsels
+  /// splits the pipeline into more than one morsel (parallel context,
+  /// partitionable pipeline, more than ~a batch of estimated rows), the
+  /// morsels run on the pool under per-worker contexts; per-worker
+  /// ExecStats are merged into ctx->stats at the barrier and the
+  /// per-partition row vectors are concatenated in partition order, so
+  /// rows, row order and stat totals are identical to a serial run.
+  /// Falls back to a serial pull otherwise
   /// — in which case interior operators (UNION, hash join, hash
   /// aggregate) still parallelize themselves from inside Open using the
   /// same pool (see the operator comments in plan/operators.h).

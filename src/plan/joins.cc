@@ -90,17 +90,13 @@ Status HashJoinOperator::Open(ExecContext* ctx) {
   // Parallel probe: the build side drains once on the calling thread (its
   // own CTE inputs still materialize in parallel inside its Open), then
   // the probe side fans out as morsels against the finished table.
-  if (ctx->num_threads > 1 && ctx->pool != nullptr) {
-    std::vector<OperatorPtr> parts;
-    if (left_->CreatePartitions(PlanPartitionCount(*left_, *ctx),
-                                &parts) &&
-        !parts.empty()) {
-      SIEVE_RETURN_IF_ERROR(BuildHashTable(ctx));
-      SIEVE_RETURN_IF_ERROR(ParallelProbe(ctx, &parts));
-      schema_ = ConcatSchemas(parts.front()->schema(), right_->schema());
-      buffered_ = true;
-      return Status::OK();
-    }
+  std::vector<OperatorPtr> parts;
+  if (PlanMorsels(*left_, *ctx, &parts)) {
+    SIEVE_RETURN_IF_ERROR(BuildHashTable(ctx));
+    SIEVE_RETURN_IF_ERROR(ParallelProbe(ctx, &parts));
+    schema_ = ConcatSchemas(parts.front()->schema(), right_->schema());
+    buffered_ = true;
+    return Status::OK();
   }
 
   // Serial probe: open the probe side first (so its errors surface before

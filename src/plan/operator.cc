@@ -317,16 +317,17 @@ Status UnionOperator::Open(ExecContext* ctx) {
   if (ctx->num_threads > 1 && ctx->pool != nullptr) {
     return OpenParallel(ctx);
   }
+  // Each arm is checked as soon as it opens, so an n-ary node reports the
+  // same first error as the left-folded binary chain it stands for.
   for (auto& child : children_) {
     SIEVE_RETURN_IF_ERROR(child->Open(ctx));
-  }
-  schema_ = children_.front()->schema();
-  for (const auto& child : children_) {
-    if (child->schema().num_columns() != schema_.num_columns()) {
+    if (child->schema().num_columns() !=
+        children_.front()->schema().num_columns()) {
       return Status::ExecutionError(
           "UNION arms produce different column counts");
     }
   }
+  schema_ = children_.front()->schema();
   current_ = 0;
   seen_.clear();
   child_batch_.reset(
@@ -499,17 +500,13 @@ Status ExceptOperator::Open(ExecContext* ctx) {
 
   // Parallel interior: build the subtrahend set once, then partition the
   // minuend probe across morsels (the set is read-only from then on).
-  if (ctx->num_threads > 1 && ctx->pool != nullptr) {
-    std::vector<OperatorPtr> parts;
-    if (left_->CreatePartitions(PlanPartitionCount(*left_, *ctx),
-                                &parts) &&
-        !parts.empty()) {
-      SIEVE_RETURN_IF_ERROR(right_->Open(ctx));
-      SIEVE_RETURN_IF_ERROR(DrainRightSet(ctx));
-      SIEVE_RETURN_IF_ERROR(OpenParallel(ctx, &parts));
-      buffered_ = true;
-      return Status::OK();
-    }
+  std::vector<OperatorPtr> parts;
+  if (PlanMorsels(*left_, *ctx, &parts)) {
+    SIEVE_RETURN_IF_ERROR(right_->Open(ctx));
+    SIEVE_RETURN_IF_ERROR(DrainRightSet(ctx));
+    SIEVE_RETURN_IF_ERROR(OpenParallel(ctx, &parts));
+    buffered_ = true;
+    return Status::OK();
   }
 
   SIEVE_RETURN_IF_ERROR(left_->Open(ctx));

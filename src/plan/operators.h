@@ -103,11 +103,12 @@ class Operator {
   static constexpr size_t kUnknownRows = static_cast<size_t>(-1);
 
   /// Best-effort row-count hint for partition planning: how many input
-  /// rows a partitioned drain of this subtree covers (an upper bound is
-  /// fine — leaf scans report table slots, filters forward their child's
-  /// hint). PlanPartitionCount uses it to size morsels so tiny inputs are
-  /// not split into dozens of near-empty clones; kUnknownRows (e.g. a
-  /// not-yet-materialized CTE) falls back to one static slice per worker.
+  /// rows a partitioned drain of this subtree covers (sequential scans
+  /// report table slots, index scans the optimizer's estimate, filters
+  /// forward their child's hint). PlanPartitionCount uses it to size
+  /// morsels so small inputs are not split into dozens of near-empty
+  /// clones; kUnknownRows (e.g. a not-yet-materialized CTE) falls back to
+  /// one static slice per worker.
   virtual size_t EstimatedPartitionRows() const { return kUnknownRows; }
 };
 
@@ -200,11 +201,15 @@ class RowIdListScanOperator : public Operator {
   /// Native batch path: fetches a whole morsel of row ids per call.
   Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
   const Schema& schema() const override { return schema_; }
-  /// Upper bound: the probe has not run yet, so report the table's slots.
-  size_t EstimatedPartitionRows() const override;
+  /// The optimizer's cardinality estimate for the probe (the probe itself
+  /// has not run yet). A guard arm estimated below one batch of rows thus
+  /// drains as a single morsel instead of being cut into near-empty ones;
+  /// an under-estimate only costs parallelism, never rows.
+  size_t EstimatedPartitionRows() const override { return estimated_rows_; }
 
  protected:
   RowIdListScanOperator(const TableEntry* entry, std::string qualifier,
+                        size_t estimated_rows,
                         std::shared_ptr<SharedIndexProbe> shared, size_t part,
                         size_t num_parts);
 
@@ -215,6 +220,7 @@ class RowIdListScanOperator : public Operator {
   const TableEntry* entry_;
   std::string qualifier_;
   Schema schema_;
+  size_t estimated_rows_;
 
  private:
   std::shared_ptr<SharedIndexProbe> shared_;  // set only on partition clones
@@ -232,8 +238,9 @@ class RowIdListScanOperator : public Operator {
 /// because they index-scan a small superset of the allowed tuples).
 class IndexRangeScanOperator : public RowIdListScanOperator {
  public:
+  /// `estimated_rows` is the optimizer's row estimate for `range`.
   IndexRangeScanOperator(const TableEntry* entry, std::string qualifier,
-                         IndexRange range);
+                         IndexRange range, size_t estimated_rows);
 
   std::string name() const override;
   bool CreatePartitions(size_t num_parts,
@@ -244,7 +251,7 @@ class IndexRangeScanOperator : public RowIdListScanOperator {
 
  private:
   IndexRangeScanOperator(const TableEntry* entry, std::string qualifier,
-                         IndexRange range,
+                         IndexRange range, size_t estimated_rows,
                          std::shared_ptr<SharedIndexProbe> shared, size_t part,
                          size_t num_parts);
 
@@ -256,8 +263,11 @@ class IndexRangeScanOperator : public RowIdListScanOperator {
 /// Scan" plan shape that makes many-guard queries cheap (Experiments 4, 5).
 class IndexUnionBitmapScanOperator : public RowIdListScanOperator {
  public:
+  /// `estimated_rows` is the optimizer's row estimate for the OR of
+  /// `ranges`.
   IndexUnionBitmapScanOperator(const TableEntry* entry, std::string qualifier,
-                               std::vector<IndexRange> ranges);
+                               std::vector<IndexRange> ranges,
+                               size_t estimated_rows);
 
   std::string name() const override;
   bool CreatePartitions(size_t num_parts,
@@ -269,6 +279,7 @@ class IndexUnionBitmapScanOperator : public RowIdListScanOperator {
  private:
   IndexUnionBitmapScanOperator(const TableEntry* entry, std::string qualifier,
                                std::vector<IndexRange> ranges,
+                               size_t estimated_rows,
                                std::shared_ptr<SharedIndexProbe> shared,
                                size_t part, size_t num_parts);
 
@@ -637,7 +648,8 @@ class ConcurrentDedupSet {
 /// arity; names follow the first child). This is the shape of the MySQL-
 /// profile IndexGuards rewrite (paper Section 5.3): one arm per guard,
 /// each forcing its guard's index, deduped because two guards can admit
-/// the same tuple.
+/// the same tuple. The optimizer plans a whole chain of UNION links as one
+/// node, so each row is hashed and buffered once, not once per link.
 ///
 /// Parallel interior: when ctx->num_threads > 1, Open drains all children
 /// concurrently on the pool (each child under its own worker context, its
@@ -657,6 +669,8 @@ class UnionOperator : public Operator {
   Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) override;
   const Schema& schema() const override { return schema_; }
   std::string name() const override;
+  const std::vector<OperatorPtr>& children() const { return children_; }
+  bool all() const { return all_; }
 
  private:
   /// Concurrent child drain + ordered dedup merge; fills out_rows_.

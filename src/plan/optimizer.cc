@@ -1,6 +1,7 @@
 #include "plan/optimizer.h"
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
 
 #include "common/string_util.h"
@@ -225,6 +226,12 @@ std::optional<Sarg> BestSarg(const std::vector<ExprPtr>& conjuncts,
   return best;
 }
 
+// Rounds a cardinality estimate up to whole rows for the scan operators'
+// partition sizing (Operator::EstimatedPartitionRows).
+size_t EstimateToRows(double estimated_rows) {
+  return static_cast<size_t>(std::ceil(std::max(0.0, estimated_rows)));
+}
+
 // Checks whether `expr` can be fully bound against `schema` (non-mutating:
 // works on a clone).
 bool BindsAgainst(const Expr& expr, const Schema& schema) {
@@ -282,27 +289,46 @@ Result<OperatorPtr> Optimizer::PlanStmt(const SelectStmt& stmt,
     child_scope[ToLower(cte.name)] = cte.query;
   }
 
-  // Left-fold the set-operation chain, honoring the per-link operator.
-  SIEVE_ASSIGN_OR_RETURN(OperatorPtr result,
+  // The set-operation chain has left-fold semantics, but consecutive UNION
+  // links collect into one n-ary UnionOperator: a K-guard IndexGuards
+  // rewrite becomes one K-child node instead of K-1 nested binary ones,
+  // each re-hashing and re-buffering every row from below. A UNION link
+  // after a UNION ALL run folds too (distinct over a concatenation is the
+  // distinct of the whole), while UNION ALL after a distinct run and
+  // EXCEPT close the run into the next link's left input.
+  std::vector<OperatorPtr> run;  // arms of the open union run
+  bool run_all = false;          // kind of the open run (when size() > 1)
+  auto close_run = [&run, &run_all]() {
+    OperatorPtr op =
+        run.size() == 1
+            ? std::move(run.front())
+            : std::make_unique<UnionOperator>(std::move(run), run_all);
+    run.clear();
+    return op;
+  };
+  SIEVE_ASSIGN_OR_RETURN(OperatorPtr first,
                          PlanCore(stmt, child_scope, explain));
+  run.push_back(std::move(first));
   const SelectStmt* link = &stmt;
   while (link->union_next != nullptr) {
     const SelectStmt* next = link->union_next.get();
     SIEVE_ASSIGN_OR_RETURN(OperatorPtr arm,
                            PlanCore(*next, child_scope, explain));
+    const bool all = link->set_op == SetOpKind::kUnionAll;
     if (link->set_op == SetOpKind::kExcept) {
-      result = std::make_unique<ExceptOperator>(std::move(result),
-                                                std::move(arm));
+      run.push_back(std::make_unique<ExceptOperator>(close_run(),
+                                                     std::move(arm)));
+    } else if (run.size() > 1 && all && !run_all) {
+      run.push_back(close_run());
+      run.push_back(std::move(arm));
+      run_all = true;
     } else {
-      std::vector<OperatorPtr> arms;
-      arms.push_back(std::move(result));
-      arms.push_back(std::move(arm));
-      result = std::make_unique<UnionOperator>(
-          std::move(arms), /*all=*/link->set_op == SetOpKind::kUnionAll);
+      run_all = run.size() == 1 ? all : run_all && all;
+      run.push_back(std::move(arm));
     }
     link = next;
   }
-  return result;
+  return close_run();
 }
 
 Result<OperatorPtr> Optimizer::PlanTableAccess(const TableRef& ref,
@@ -426,12 +452,14 @@ Result<OperatorPtr> Optimizer::PlanTableAccess(const TableRef& ref,
     if (chosen->ranges.size() == 1) {
       info.kind = AccessPathInfo::Kind::kIndexRange;
       scan = std::make_unique<IndexRangeScanOperator>(
-          entry, qualifier, std::move(chosen->ranges.front()));
+          entry, qualifier, std::move(chosen->ranges.front()),
+          EstimateToRows(info.estimated_rows));
     } else {
       info.kind = AccessPathInfo::Kind::kIndexUnion;
       info.num_ranges = chosen->ranges.size();
       scan = std::make_unique<IndexUnionBitmapScanOperator>(
-          entry, qualifier, std::move(chosen->ranges));
+          entry, qualifier, std::move(chosen->ranges),
+          EstimateToRows(info.estimated_rows));
     }
   } else if (!union_ranges.empty()) {
     info.kind = AccessPathInfo::Kind::kIndexUnion;
@@ -440,7 +468,8 @@ Result<OperatorPtr> Optimizer::PlanTableAccess(const TableRef& ref,
     info.selectivity = union_selectivity;
     info.estimated_rows = union_selectivity * n;
     scan = std::make_unique<IndexUnionBitmapScanOperator>(
-        entry, qualifier, std::move(union_ranges));
+        entry, qualifier, std::move(union_ranges),
+        EstimateToRows(info.estimated_rows));
   } else {
     scan = std::make_unique<SeqScanOperator>(entry, qualifier);
   }

@@ -118,10 +118,11 @@ std::string SeqScanOperator::name() const {
 // ---------------------------------------------------------------------------
 
 RowIdListScanOperator::RowIdListScanOperator(
-    const TableEntry* entry, std::string qualifier,
+    const TableEntry* entry, std::string qualifier, size_t estimated_rows,
     std::shared_ptr<SharedIndexProbe> shared, size_t part, size_t num_parts)
     : entry_(entry),
       qualifier_(std::move(qualifier)),
+      estimated_rows_(estimated_rows),
       shared_(std::move(shared)),
       part_(part),
       num_parts_(num_parts) {
@@ -184,25 +185,24 @@ Result<bool> RowIdListScanOperator::NextBatch(ExecContext* ctx,
   return !out->empty();
 }
 
-size_t RowIdListScanOperator::EstimatedPartitionRows() const {
-  return entry_->table->num_slots();
-}
-
 // ---------------------------------------------------------------------------
 // IndexRangeScanOperator
 // ---------------------------------------------------------------------------
 
 IndexRangeScanOperator::IndexRangeScanOperator(const TableEntry* entry,
                                                std::string qualifier,
-                                               IndexRange range)
-    : RowIdListScanOperator(entry, std::move(qualifier), nullptr, 0, 1),
+                                               IndexRange range,
+                                               size_t estimated_rows)
+    : RowIdListScanOperator(entry, std::move(qualifier), estimated_rows,
+                            nullptr, 0, 1),
       range_(std::move(range)) {}
 
 IndexRangeScanOperator::IndexRangeScanOperator(
     const TableEntry* entry, std::string qualifier, IndexRange range,
-    std::shared_ptr<SharedIndexProbe> shared, size_t part, size_t num_parts)
-    : RowIdListScanOperator(entry, std::move(qualifier), std::move(shared),
-                            part, num_parts),
+    size_t estimated_rows, std::shared_ptr<SharedIndexProbe> shared,
+    size_t part, size_t num_parts)
+    : RowIdListScanOperator(entry, std::move(qualifier), estimated_rows,
+                            std::move(shared), part, num_parts),
       range_(std::move(range)) {}
 
 Result<std::vector<RowId>> IndexRangeScanOperator::Probe() const {
@@ -214,7 +214,7 @@ bool IndexRangeScanOperator::CreatePartitions(
   auto shared = std::make_shared<SharedIndexProbe>();
   for (size_t i = 0; i < num_parts; ++i) {
     out->push_back(OperatorPtr(new IndexRangeScanOperator(
-        entry_, qualifier_, range_, shared, i, num_parts)));
+        entry_, qualifier_, range_, estimated_rows_, shared, i, num_parts)));
   }
   return true;
 }
@@ -230,16 +230,17 @@ std::string IndexRangeScanOperator::name() const {
 
 IndexUnionBitmapScanOperator::IndexUnionBitmapScanOperator(
     const TableEntry* entry, std::string qualifier,
-    std::vector<IndexRange> ranges)
-    : RowIdListScanOperator(entry, std::move(qualifier), nullptr, 0, 1),
+    std::vector<IndexRange> ranges, size_t estimated_rows)
+    : RowIdListScanOperator(entry, std::move(qualifier), estimated_rows,
+                            nullptr, 0, 1),
       ranges_(std::move(ranges)) {}
 
 IndexUnionBitmapScanOperator::IndexUnionBitmapScanOperator(
     const TableEntry* entry, std::string qualifier,
-    std::vector<IndexRange> ranges, std::shared_ptr<SharedIndexProbe> shared,
-    size_t part, size_t num_parts)
-    : RowIdListScanOperator(entry, std::move(qualifier), std::move(shared),
-                            part, num_parts),
+    std::vector<IndexRange> ranges, size_t estimated_rows,
+    std::shared_ptr<SharedIndexProbe> shared, size_t part, size_t num_parts)
+    : RowIdListScanOperator(entry, std::move(qualifier), estimated_rows,
+                            std::move(shared), part, num_parts),
       ranges_(std::move(ranges)) {}
 
 Result<std::vector<RowId>> IndexUnionBitmapScanOperator::Probe() const {
@@ -256,7 +257,7 @@ bool IndexUnionBitmapScanOperator::CreatePartitions(
   auto shared = std::make_shared<SharedIndexProbe>();
   for (size_t i = 0; i < num_parts; ++i) {
     out->push_back(OperatorPtr(new IndexUnionBitmapScanOperator(
-        entry_, qualifier_, ranges_, shared, i, num_parts)));
+        entry_, qualifier_, ranges_, estimated_rows_, shared, i, num_parts)));
   }
   return true;
 }

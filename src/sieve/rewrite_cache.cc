@@ -220,21 +220,7 @@ size_t RewriteCache::InvalidateTable(
 
 size_t RewriteCache::InvalidateAll() {
   std::lock_guard<std::mutex> lock(mu_);
-  size_t count = entries_.size();
-  for (auto& kv : entries_) kv.second.rewrite->mark_stale();
-  for (auto& [table, bucket] : evicted_by_table_) {
-    for (auto& weak : bucket) {
-      std::shared_ptr<const PreparedRewrite> held = weak.lock();
-      if (held && !held->stale()) {  // skip expired and multi-table repeats
-        held->mark_stale();
-        ++count;
-      }
-    }
-  }
-  entries_.clear();
-  lru_.clear();
-  by_table_.clear();
-  evicted_by_table_.clear();
+  size_t count = DropAllStaleLocked();
   stats_.invalidations += count;
   return count;
 }
@@ -251,10 +237,29 @@ size_t RewriteCache::size() const {
 
 void RewriteCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
+  // A holder must never outlive a dropped entry's validity: without the
+  // stale mark a PreparedQuery prepared before Clear() would keep its
+  // pre-mutation rewrite forever, since nothing can reach it afterwards.
+  (void)DropAllStaleLocked();
+}
+
+size_t RewriteCache::DropAllStaleLocked() {
+  size_t count = entries_.size();
+  for (auto& kv : entries_) kv.second.rewrite->mark_stale();
+  for (auto& [table, bucket] : evicted_by_table_) {
+    for (auto& weak : bucket) {
+      std::shared_ptr<const PreparedRewrite> held = weak.lock();
+      if (held && !held->stale()) {  // skip expired and multi-table repeats
+        held->mark_stale();
+        ++count;
+      }
+    }
+  }
   entries_.clear();
   lru_.clear();
   by_table_.clear();
   evicted_by_table_.clear();
+  return count;
 }
 
 void RewriteCache::TrackEvictedLocked(

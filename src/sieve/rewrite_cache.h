@@ -150,6 +150,9 @@ class RewriteCache {
 
   RewriteCacheStats stats() const;
   size_t size() const;
+  /// Drops every entry like InvalidateAll — resident and evicted-but-held
+  /// entries are marked stale, so their holders re-prepare — but leaves
+  /// stats().invalidations untouched (a cache reset, not a mutation).
   void Clear();
 
  private:
@@ -167,6 +170,9 @@ class RewriteCache {
   /// still reference it (no-op otherwise).
   void TrackEvictedLocked(
       const std::shared_ptr<const PreparedRewrite>& rewrite);
+  /// Marks every resident and evicted-but-held entry stale, empties the
+  /// cache and returns how many entries were marked (each counted once).
+  size_t DropAllStaleLocked();
 
   const size_t capacity_;
   mutable std::mutex mu_;

@@ -16,7 +16,8 @@
 // UNION / UNION ALL over guard branches, the hash join of the policy-
 // filtered CTE against an unprotected table, grouped + global aggregates
 // (COUNT/SUM/MIN/MAX/AVG partial-state merge), and EXCEPT (parallel
-// minuend probe + ordered distinct merge).
+// minuend probe + ordered distinct merge), plus mixed UNION / UNION ALL /
+// EXCEPT chains (the n-ary UNION folding).
 //
 // On top of that, the sweep is differential across *API surfaces*: every
 // query also runs through SieveSession::Prepare + repeated
@@ -81,8 +82,8 @@ std::vector<std::string> RandomPreds(Rng& rng, const std::string& alias) {
   return preds;
 }
 
-// The query mix: plain guarded scans plus the three interior-operator
-// shapes the parallel executor must reproduce exactly.
+// The query mix: plain guarded scans plus the interior-operator and
+// set-operation shapes the parallel executor must reproduce exactly.
 std::vector<std::string> MakeQueries(Rng& rng) {
   std::vector<std::string> queries;
 
@@ -145,6 +146,25 @@ std::vector<std::string> MakeQueries(Rng& rng) {
     std::vector<std::string> preds = RandomPreds(rng, "");
     if (!preds.empty()) sql += " WHERE " + Join(preds, " AND ");
     queries.push_back(std::move(sql));
+  }
+
+  // Mixed set-operation chains: the planner folds consecutive UNION links
+  // into one n-ary operator (a UNION over a UNION ALL run included), while
+  // UNION ALL after a distinct run and EXCEPT close the run. Each shape
+  // must still give the left-fold rows, row order and stats.
+  {
+    const std::string a = StrFormat("SELECT * FROM wifi WHERE wifiAP = %lld",
+                                    (long long)rng.Uniform(0, 5));
+    const std::string b =
+        StrFormat("SELECT * FROM wifi WHERE owner IN (%lld, %lld)",
+                  (long long)rng.Uniform(0, 9), (long long)rng.Uniform(0, 9));
+    const std::string c = StrFormat("SELECT * FROM wifi WHERE owner = %lld",
+                                    (long long)rng.Uniform(0, 9));
+    const std::string d = StrFormat("SELECT * FROM wifi WHERE wifiAP < %lld",
+                                    (long long)rng.Uniform(1, 5));
+    queries.push_back(a + " UNION ALL " + b + " UNION " + c);
+    queries.push_back(a + " UNION " + b + " UNION ALL " + c);
+    queries.push_back(a + " UNION " + b + " EXCEPT " + c + " UNION " + d);
   }
 
   return queries;

@@ -5,8 +5,9 @@
 // hash-aggregate partials, the EXCEPT minuend probe) with its edge cases,
 // RowBatch/NextBatch semantics (batch boundaries at partition edges,
 // empty morsels, batch_size = 1 degeneracy, mid-batch timeouts),
-// race-free ExecStats merging, and cooperative timeout cancellation while
-// a parallel scan is in flight.
+// race-free ExecStats merging, cooperative timeout cancellation while
+// a parallel scan is in flight, and morsel sizing from the optimizer's row
+// estimate (a one-morsel input drains in place, without a fan-out).
 
 #include <atomic>
 #include <set>
@@ -16,7 +17,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fault_injection.h"
 #include "common/thread_pool.h"
+#include "parser/parser.h"
 #include "tests/test_fixtures.h"
 
 namespace sieve {
@@ -258,8 +261,8 @@ TEST(PartitionBoundaryTest, IndexRangeScanSharedProbe) {
   range.column = "id";
   range.lo = Value::Int(100);
   range.hi = Value::Int(333);
-  IndexRangeScanOperator serial(entry, "", range);
-  IndexRangeScanOperator partitioned(entry, "", range);
+  IndexRangeScanOperator serial(entry, "", range, 234);
+  IndexRangeScanOperator partitioned(entry, "", range, 234);
   ExpectPartitionsMatchSerial(&serial, &partitioned, 4, &db->catalog());
 }
 
@@ -270,8 +273,8 @@ TEST(PartitionBoundaryTest, IndexRangeScanEmptyResult) {
   range.column = "id";
   range.lo = Value::Int(5000);
   range.hi = Value::Int(6000);
-  IndexRangeScanOperator serial(entry, "", range);
-  IndexRangeScanOperator partitioned(entry, "", range);
+  IndexRangeScanOperator serial(entry, "", range, 0);
+  IndexRangeScanOperator partitioned(entry, "", range, 0);
   ExpectPartitionsMatchSerial(&serial, &partitioned, 4, &db->catalog());
 }
 
@@ -286,8 +289,8 @@ TEST(PartitionBoundaryTest, IndexUnionBitmapScanSharedProbe) {
   r2.column = "id";
   r2.lo = Value::Int(100);  // overlaps r1: the bitmap dedups
   r2.hi = Value::Int(400);
-  IndexUnionBitmapScanOperator serial(entry, "", {r1, r2});
-  IndexUnionBitmapScanOperator partitioned(entry, "", {r1, r2});
+  IndexUnionBitmapScanOperator serial(entry, "", {r1, r2}, 391);
+  IndexUnionBitmapScanOperator partitioned(entry, "", {r1, r2}, 391);
   ExpectPartitionsMatchSerial(&serial, &partitioned, 3, &db->catalog());
 }
 
@@ -663,6 +666,114 @@ TEST(PlanPartitionCountTest, SizesMorselsByInputRows) {
   // Unknown size (a not-yet-materialized subtree): one slice per worker.
   MaterializedScanOperator unknown("k", "", nullptr);
   EXPECT_EQ(PlanPartitionCount(unknown, ctx), 4u);
+}
+
+// Plans `sql` against `db` with the optimizer (no execution).
+PlannedQuery PlanSql(Database* db, const std::string& sql) {
+  auto stmt = Parser::Parse(sql);
+  EXPECT_TRUE(stmt.ok()) << sql;
+  Optimizer optimizer(&db->catalog(), &db->profile());
+  auto planned = optimizer.Plan(**stmt);
+  EXPECT_TRUE(planned.ok()) << sql << " -> " << planned.status().ToString();
+  return std::move(planned).value();
+}
+
+// Materializes `root` on a 4-thread context while every RunWorkers morsel
+// is made to fail: the drain succeeds only if it never fans out.
+Status MaterializeWithFanOutForbidden(Operator* root, Catalog* catalog,
+                                      ThreadPool* pool, ExecStats* stats,
+                                      std::vector<Row>* rows) {
+  ExecContext ctx;
+  ctx.catalog = catalog;
+  ctx.stats = stats;
+  ctx.num_threads = 4;
+  ctx.pool = pool;
+  ScopedFault fan_out_fails("exec.morsel.fail", FaultTrigger::Always());
+  Schema schema;
+  return Executor::Materialize(root, &ctx, &schema, rows);
+}
+
+TEST(PlanPartitionCountTest, SmallIndexScanDrainsAsOneMorselInPlace) {
+#ifdef SIEVE_FAULT_INJECTION_DISABLED
+  GTEST_SKIP() << "needs the exec.morsel.fail fault point";
+#endif
+  // A guard-arm-sized range on a 100k-row table: the optimizer estimates
+  // ~300 rows, below one batch, so the scan is one morsel — drained by the
+  // caller itself, not cloned and fanned out through RunWorkers.
+  auto db = MakeTable(100000);
+  ThreadPool pool(4);
+  ExecContext ctx;
+  ctx.num_threads = 4;
+  ctx.pool = &pool;
+
+  PlannedQuery index =
+      PlanSql(db.get(), "SELECT * FROM t WHERE id BETWEEN 100 AND 399");
+  ASSERT_EQ(index.explain.tables.size(), 1u);
+  EXPECT_EQ(index.explain.tables[0].kind, AccessPathInfo::Kind::kIndexRange);
+  EXPECT_LT(index.explain.tables[0].estimated_rows, kDefaultBatchSize);
+  EXPECT_EQ(PlanPartitionCount(*index.root, ctx), 1u);
+  std::vector<OperatorPtr> parts;
+  EXPECT_FALSE(PlanMorsels(*index.root, ctx, &parts));
+  EXPECT_TRUE(parts.empty());
+
+  ExecStats stats;
+  std::vector<Row> rows;
+  Status st = MaterializeWithFanOutForbidden(index.root.get(), &db->catalog(),
+                                             &pool, &stats, &rows);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(rows.size(), 300u);
+  EXPECT_EQ(stats.index_probe_rows, 300u);
+
+  // A SeqScan over the same table still splits into morsels (and so does
+  // hit the forbidden fan-out).
+  PlannedQuery seq = PlanSql(db.get(), "SELECT * FROM t WHERE val < 3");
+  ASSERT_EQ(seq.explain.tables.size(), 1u);
+  EXPECT_EQ(seq.explain.tables[0].kind, AccessPathInfo::Kind::kSeqScan);
+  EXPECT_EQ(PlanPartitionCount(*seq.root, ctx), 32u);
+  ExecStats seq_stats;
+  std::vector<Row> seq_rows;
+  Status fanned = MaterializeWithFanOutForbidden(
+      seq.root.get(), &db->catalog(), &pool, &seq_stats, &seq_rows);
+  EXPECT_FALSE(fanned.ok());
+  EXPECT_NE(fanned.message().find("injected fault"), std::string::npos)
+      << fanned.ToString();
+}
+
+TEST(PlanPartitionCountTest, UnderEstimatedArmStillReturnsEveryRow) {
+  // The estimate only sizes morsels: a scan that claims one row but
+  // probes 5,000 drains as one morsel and still returns every row, in
+  // order, with the serial stats.
+  auto db = MakeTable(20000, {17, 2500});
+  TableEntry* entry = db->catalog().Get("t").value();
+  IndexRange range;
+  range.column = "id";
+  range.lo = Value::Int(0);
+  range.hi = Value::Int(4999);
+  IndexRangeScanOperator serial(entry, "", range, /*estimated_rows=*/1);
+  IndexRangeScanOperator parallel(entry, "", range, /*estimated_rows=*/1);
+
+  ExecStats serial_stats;
+  ExecContext serial_ctx;
+  serial_ctx.catalog = &db->catalog();
+  serial_ctx.stats = &serial_stats;
+  std::vector<std::string> expected = DrainToStrings(&serial, &serial_ctx);
+  ASSERT_EQ(expected.size(), 4998u);
+
+  ThreadPool pool(4);
+  ExecStats stats;
+  ExecContext ctx;
+  ctx.catalog = &db->catalog();
+  ctx.stats = &stats;
+  ctx.num_threads = 4;
+  ctx.pool = &pool;
+  EXPECT_EQ(PlanPartitionCount(parallel, ctx), 1u);
+  Schema schema;
+  std::vector<Row> rows;
+  ASSERT_TRUE(Executor::Materialize(&parallel, &ctx, &schema, &rows).ok());
+  std::vector<std::string> got;
+  for (const Row& row : rows) got.push_back(RowFingerprint(row));
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(stats, serial_stats);
 }
 
 // Compares ExecuteSql at (threads, batch) against the serial

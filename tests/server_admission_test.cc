@@ -119,6 +119,15 @@ TEST(ServerAdmissionTest, BystanderUnaffectedByRateLimitedSpammer) {
     }
   });
 
+  // The bystander measures while the spammer is already being limited:
+  // otherwise fast bystander queries can all finish before the spammer has
+  // spent its burst, and the scenario under test never happens.
+  auto limited_by = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (h.server().stats().rate_limited == 0 &&
+         std::chrono::steady_clock::now() < limited_by) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
   // The unlimited bystander (alice) keeps executing successfully, with
   // latency bounded well below anything a starved worker pool would show.
   auto c = h.Client("tok-alice");

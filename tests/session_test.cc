@@ -610,6 +610,30 @@ TEST_F(SessionTest, AddPolicyAfterEvictionStillInvalidatesHeldRewrite) {
   EXPECT_EQ(rows->size(), oracle->size());
 }
 
+TEST_F(SessionTest, ClearedCacheStillInvalidatesHeldRewrite) {
+  // Regression: Clear() dropped resident entries without marking them
+  // stale, so a PreparedQuery prepared before the Clear() was out of reach
+  // of every later keyed invalidation and served its pre-mutation rewrite
+  // forever.
+  const std::string sql = "SELECT * FROM wifi WHERE wifiAP = 1";
+  SieveSession session(&sieve_, md_);
+  auto pa = session.Prepare(sql);
+  ASSERT_TRUE(pa.ok()) << pa.status().ToString();
+  ASSERT_TRUE(pa->Execute().ok());
+
+  const uint64_t invalidations = sieve_.rewrite_cache_stats().invalidations;
+  sieve_.rewrite_cache().Clear();
+  EXPECT_EQ(sieve_.rewrite_cache_stats().invalidations, invalidations)
+      << "Clear() is a reset, not a counted invalidation";
+  ASSERT_TRUE(sieve_.AddPolicy(campus_.MakePolicy(5, "alice", "any")).ok());
+
+  auto rows = pa->Execute();
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  auto oracle = sieve_.ExecuteReference(sql, md_);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  EXPECT_EQ(Fingerprints(*rows), Fingerprints(*oracle));
+}
+
 TEST_F(SessionTest, GroupGrantInvalidatesMemberQueriersRewrites) {
   // bob ∈ students: a policy granted to the group must invalidate bob's
   // cached rewrite (the grant reaches him through membership) while

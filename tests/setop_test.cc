@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "parser/parser.h"
 #include "tests/test_fixtures.h"
 
@@ -74,6 +75,136 @@ TEST_F(SetOpTest, MixedUnionAllAndUnionDedupPerLink) {
       "SELECT * FROM r1 WHERE id = 1 UNION SELECT * FROM r1 WHERE id = 1");
   ASSERT_TRUE(dedup.ok());
   EXPECT_EQ(dedup->size(), 1u);
+}
+
+// Plans `sql` with the optimizer (no execution).
+OperatorPtr PlanRoot(Database* db, const std::string& sql) {
+  auto stmt = Parser::Parse(sql);
+  EXPECT_TRUE(stmt.ok()) << sql;
+  Optimizer optimizer(&db->catalog(), &db->profile());
+  auto planned = optimizer.Plan(**stmt);
+  EXPECT_TRUE(planned.ok()) << sql << " -> " << planned.status().ToString();
+  return std::move(planned->root);
+}
+
+TEST_F(SetOpTest, UnionChainPlansAsOneNaryOperator) {
+  for (const char* op : {" UNION ", " UNION ALL "}) {
+    std::string sql = "SELECT * FROM r1 WHERE id = 0";
+    for (int k = 1; k < 6; ++k) {
+      sql += op + std::string("SELECT * FROM r1 WHERE id = ") +
+             std::to_string(k);
+    }
+    OperatorPtr root = PlanRoot(&db_, sql);
+    const auto* u = dynamic_cast<const UnionOperator*>(root.get());
+    ASSERT_NE(u, nullptr) << sql;
+    EXPECT_EQ(u->children().size(), 6u) << sql;
+    EXPECT_EQ(u->all(), std::string(op) == " UNION ALL ") << sql;
+  }
+}
+
+TEST_F(SetOpTest, MixedChainsFoldOnlyWhereLeftFoldAllows) {
+  const std::string a = "SELECT * FROM r1";
+  const std::string b = "SELECT * FROM r2";
+  const std::string c = "SELECT * FROM r1 WHERE id > 3";
+  // UNION over a UNION ALL run: distinct(a ++ b ++ c), one node.
+  OperatorPtr p1 = PlanRoot(&db_, a + " UNION ALL " + b + " UNION " + c);
+  const auto* u1 = dynamic_cast<const UnionOperator*>(p1.get());
+  ASSERT_NE(u1, nullptr);
+  EXPECT_FALSE(u1->all());
+  EXPECT_EQ(u1->children().size(), 3u);
+  // UNION ALL after a distinct run keeps the run as its left input.
+  OperatorPtr p2 = PlanRoot(&db_, a + " UNION " + b + " UNION ALL " + c);
+  const auto* u2 = dynamic_cast<const UnionOperator*>(p2.get());
+  ASSERT_NE(u2, nullptr);
+  EXPECT_TRUE(u2->all());
+  ASSERT_EQ(u2->children().size(), 2u);
+  const auto* inner =
+      dynamic_cast<const UnionOperator*>(u2->children()[0].get());
+  ASSERT_NE(inner, nullptr);
+  EXPECT_FALSE(inner->all());
+  EXPECT_EQ(inner->children().size(), 2u);
+  // EXCEPT ends a run.
+  OperatorPtr p3 = PlanRoot(
+      &db_, a + " UNION " + b + " EXCEPT " + c + " UNION " + a);
+  const auto* u3 = dynamic_cast<const UnionOperator*>(p3.get());
+  ASSERT_NE(u3, nullptr);
+  ASSERT_EQ(u3->children().size(), 2u);
+  EXPECT_NE(dynamic_cast<const ExceptOperator*>(u3->children()[0].get()),
+            nullptr);
+}
+
+// The flat plan must reproduce the left-folded binary chain exactly: same
+// rows, same row order, same ExecStats, serial and parallel.
+TEST_F(SetOpTest, FlatUnionMatchesLeftFoldedBinaryChain) {
+  ASSERT_TRUE(db_.CreateIndex("r1", "id").ok());
+  ASSERT_TRUE(db_.Analyze().ok());
+  const std::vector<std::string> arms = {
+      "SELECT * FROM r1 WHERE id < 7", "SELECT * FROM r2",
+      "SELECT * FROM r1 WHERE id BETWEEN 2 AND 8", "SELECT * FROM r2 WHERE v > 9",
+      "SELECT * FROM r1"};
+  // Per-link kinds; each chain joins arms[0..links.size()] in order.
+  const std::vector<std::vector<SetOpKind>> chains = {
+      {SetOpKind::kUnion, SetOpKind::kUnion, SetOpKind::kUnion,
+       SetOpKind::kUnion},
+      {SetOpKind::kUnionAll, SetOpKind::kUnionAll, SetOpKind::kUnionAll},
+      {SetOpKind::kUnionAll, SetOpKind::kUnion},
+      {SetOpKind::kUnion, SetOpKind::kUnionAll},
+      {SetOpKind::kUnion, SetOpKind::kExcept, SetOpKind::kUnion},
+      {SetOpKind::kUnionAll, SetOpKind::kUnion, SetOpKind::kUnionAll,
+       SetOpKind::kUnion},
+  };
+  ThreadPool pool(4);
+  for (const auto& links : chains) {
+    std::string sql = arms[0];
+    for (size_t i = 0; i < links.size(); ++i) {
+      sql += links[i] == SetOpKind::kUnion      ? " UNION "
+             : links[i] == SetOpKind::kUnionAll ? " UNION ALL "
+                                                : " EXCEPT ";
+      sql += arms[i + 1];
+    }
+    for (int threads : {1, 4}) {
+      for (int batch : {1, 1024}) {
+        // Reference: the binary left fold, built by hand arm by arm.
+        OperatorPtr folded = PlanRoot(&db_, arms[0]);
+        for (size_t i = 0; i < links.size(); ++i) {
+          OperatorPtr arm = PlanRoot(&db_, arms[i + 1]);
+          if (links[i] == SetOpKind::kExcept) {
+            folded = std::make_unique<ExceptOperator>(std::move(folded),
+                                                      std::move(arm));
+          } else {
+            std::vector<OperatorPtr> pair;
+            pair.push_back(std::move(folded));
+            pair.push_back(std::move(arm));
+            folded = std::make_unique<UnionOperator>(
+                std::move(pair), links[i] == SetOpKind::kUnionAll);
+          }
+        }
+        OperatorPtr flat = PlanRoot(&db_, sql);
+        auto run = [&](Operator* root) {
+          ExecStats stats;
+          ExecContext ctx;
+          ctx.catalog = &db_.catalog();
+          ctx.stats = &stats;
+          ctx.num_threads = threads;
+          ctx.pool = &pool;
+          ctx.batch_size = batch;
+          auto result = Executor::Run(root, &ctx);
+          EXPECT_TRUE(result.ok()) << sql << " -> "
+                                   << result.status().ToString();
+          return std::move(result).value();
+        };
+        ResultSet want = run(folded.get());
+        ResultSet got = run(flat.get());
+        std::vector<std::string> want_rows, got_rows;
+        for (const Row& r : want.rows) want_rows.push_back(RowFingerprint(r));
+        for (const Row& r : got.rows) got_rows.push_back(RowFingerprint(r));
+        EXPECT_EQ(got_rows, want_rows)
+            << sql << " threads=" << threads << " batch=" << batch;
+        EXPECT_EQ(got.stats, want.stats)
+            << sql << " threads=" << threads << " batch=" << batch;
+      }
+    }
+  }
 }
 
 // The paper's Section 3.1 scenario: rj MINUS rk where a policy denies the
