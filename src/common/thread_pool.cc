@@ -116,9 +116,13 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
       std::lock_guard<std::mutex> lock(state->mu);
       if (error != nullptr &&
           (state->first_error == nullptr || i < state->first_error_index)) {
-        state->first_error = error;
+        state->first_error = std::move(error);
         state->first_error_index = i;
       }
+      // Release a losing error while the lock is held: dropping its last
+      // reference frees the exception object, and that free must be
+      // ordered before the caller, woken under this lock, reads the winner.
+      error = nullptr;
       if (++state->completed == n) state->done.notify_all();
     }
   };
@@ -136,9 +140,16 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
 
   claim_loop();  // caller participates: never blocks on queue capacity
 
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->done.wait(lock, [&state, n] { return state->completed == n; });
-  if (state->first_error != nullptr) std::rethrow_exception(state->first_error);
+  std::exception_ptr error;
+  {
+    std::unique_lock<std::mutex> lock(state->mu);
+    state->done.wait(lock, [&state, n] { return state->completed == n; });
+    // Take the error out of the shared state: a stale helper task may drop
+    // the last reference to `state` later, and must not free the exception
+    // object on its thread while the caller's handler still reads it.
+    error = std::move(state->first_error);
+  }
+  if (error != nullptr) std::rethrow_exception(error);
 }
 
 }  // namespace sieve

@@ -117,7 +117,7 @@ struct ExecContext {
   std::shared_ptr<CteCache> ctes;
 
   /// Rows per execution batch (Operator::NextBatch). The default is the
-  /// vectorized fast path; 1 reproduces the legacy row-at-a-time behavior
+  /// vectorized fast path; 1 is a capacity-1 batch through the same code
   /// (same rows, order and ExecStats at every value — only the
   /// amortization changes); 0 selects an adaptive per-operator size from
   /// the row width (see EffectiveBatchSize). Never negative.

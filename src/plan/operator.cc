@@ -76,22 +76,9 @@ Status FilterOperator::Open(ExecContext* ctx) {
   SIEVE_RETURN_IF_ERROR(BindExpr(predicate_.get(), child_->schema()));
   evaluator_ = std::make_unique<Evaluator>(&child_->schema(), ctx->hooks,
                                            ctx->metadata, ctx->stats);
-  rows_seen_ = 0;
   child_batch_.reset(
       EffectiveBatchSize(ctx->batch_size, child_->schema().num_columns()));
   return Status::OK();
-}
-
-Result<bool> FilterOperator::Next(ExecContext* ctx, Row* out) {
-  while (true) {
-    if ((++rows_seen_ & 1023) == 0) {
-      SIEVE_RETURN_IF_ERROR(ctx->CheckTimeout());
-    }
-    SIEVE_ASSIGN_OR_RETURN(bool has, child_->Next(ctx, out));
-    if (!has) return false;
-    SIEVE_ASSIGN_OR_RETURN(bool pass, evaluator_->EvalPredicate(*predicate_, *out));
-    if (pass) return true;
-  }
 }
 
 Result<bool> FilterOperator::NextBatch(ExecContext* ctx, RowBatch* out) {
@@ -158,63 +145,20 @@ Status ProjectOperator::Open(ExecContext* ctx) {
   child_batch_.reset(
       EffectiveBatchSize(ctx->batch_size, child_->schema().num_columns()));
 
-  // Move plan: when every item is a bound column ref, the consumed input
-  // row's cells can be stolen instead of copied — a column moves at its
-  // last referencing item, earlier duplicates copy.
-  move_source_.clear();
-  move_max_col_ = -1;
+  // Permutation plan: when every item is a bound column ref, each output
+  // column is an input column. Duplicated column descriptors share the
+  // batch's arrays, so a column read twice needs no copy either.
   permute_.clear();
-  std::vector<int> cols;
-  cols.reserve(items_.size());
+  permute_max_col_ = -1;
   for (const auto& item : items_) {
     if (item.expr->kind() != ExprKind::kColumnRef) break;
     int idx = static_cast<const ColumnRefExpr&>(*item.expr).bound_index();
     if (idx < 0) break;
-    cols.push_back(idx);
+    permute_.push_back(idx);
+    permute_max_col_ = std::max(permute_max_col_, idx);
   }
-  if (cols.size() == items_.size()) {
-    for (size_t j = 0; j < cols.size(); ++j) {
-      bool read_later = false;
-      for (size_t k = j + 1; k < cols.size(); ++k) {
-        if (cols[k] == cols[j]) read_later = true;
-      }
-      move_source_.push_back(read_later ? -(cols[j] + 1) : cols[j]);
-      move_max_col_ = std::max(move_max_col_, cols[j]);
-    }
-    // The batch path needs only the source column per item: duplicated
-    // column descriptors share the batch's arrays, so move-vs-copy is moot.
-    permute_.assign(cols.begin(), cols.end());
-  }
+  if (permute_.size() != items_.size()) permute_.clear();
   return Status::OK();
-}
-
-Status ProjectOperator::ProjectRow(Row* input, Row* out) {
-  out->clear();
-  out->reserve(items_.size());
-  if (!move_source_.empty() &&
-      static_cast<size_t>(move_max_col_) < input->size()) {
-    for (int src : move_source_) {
-      if (src >= 0) {
-        out->push_back(std::move((*input)[static_cast<size_t>(src)]));
-      } else {
-        out->push_back((*input)[static_cast<size_t>(-src - 1)]);
-      }
-    }
-    return Status::OK();
-  }
-  for (const auto& item : items_) {
-    SIEVE_ASSIGN_OR_RETURN(Value v, evaluator_->Eval(*item.expr, *input));
-    out->push_back(std::move(v));
-  }
-  return Status::OK();
-}
-
-Result<bool> ProjectOperator::Next(ExecContext* ctx, Row* out) {
-  Row input;
-  SIEVE_ASSIGN_OR_RETURN(bool has, child_->Next(ctx, &input));
-  if (!has) return false;
-  SIEVE_RETURN_IF_ERROR(ProjectRow(&input, out));
-  return true;
 }
 
 Result<bool> ProjectOperator::NextBatch(ExecContext* ctx, RowBatch* out) {
@@ -222,7 +166,7 @@ Result<bool> ProjectOperator::NextBatch(ExecContext* ctx, RowBatch* out) {
   SIEVE_ASSIGN_OR_RETURN(bool has, child_->NextBatch(ctx, &child_batch_));
   if (!has) return false;
   if (!permute_.empty() &&
-      static_cast<size_t>(move_max_col_) < child_batch_.num_columns()) {
+      static_cast<size_t>(permute_max_col_) < child_batch_.num_columns()) {
     // Pure column projection: take the whole batch and shuffle column
     // descriptors — no cell is copied or even touched.
     out->SwapWith(&child_batch_);
@@ -231,7 +175,13 @@ Result<bool> ProjectOperator::NextBatch(ExecContext* ctx, RowBatch* out) {
   }
   for (size_t k = 0; k < child_batch_.size(); ++k) {
     child_batch_.MaterializeRow(k, &scratch_in_);
-    SIEVE_RETURN_IF_ERROR(ProjectRow(&scratch_in_, &scratch_out_));
+    scratch_out_.clear();
+    scratch_out_.reserve(items_.size());
+    for (const auto& item : items_) {
+      SIEVE_ASSIGN_OR_RETURN(Value v,
+                             evaluator_->Eval(*item.expr, scratch_in_));
+      scratch_out_.push_back(std::move(v));
+    }
     out->PushRow(std::move(scratch_out_));
   }
   return true;
@@ -381,46 +331,9 @@ Status UnionOperator::OpenParallel(ExecContext* ctx) {
   return Status::OK();
 }
 
-Result<bool> UnionOperator::Next(ExecContext* ctx, Row* out) {
-  if (buffered_) {
-    if (out_pos_ >= out_rows_.size()) return false;
-    *out = std::move(out_rows_[out_pos_++]);
-    return true;
-  }
-  while (current_ < children_.size()) {
-    SIEVE_ASSIGN_OR_RETURN(bool has, children_[current_]->Next(ctx, out));
-    if (!has) {
-      ++current_;
-      continue;
-    }
-    if (!all_) {
-      uint64_t h = RowHash64(*out);
-      auto& bucket = seen_[h];
-      bool duplicate = false;
-      for (const Row& prev : bucket) {
-        if (RowsEqual(prev, *out)) {
-          duplicate = true;
-          break;
-        }
-      }
-      if (duplicate) continue;
-      bucket.push_back(*out);
-    }
-    return true;
-  }
-  return false;
-}
-
 Result<bool> UnionOperator::NextBatch(ExecContext* ctx, RowBatch* out) {
+  if (buffered_) return ServeBufferedRows(out_rows_, &out_pos_, out);
   out->clear();
-  if (buffered_) {
-    // The buffered rows outlive every batch served from them (they are
-    // owned by this operator until the next Open), so views are safe.
-    while (out_pos_ < out_rows_.size() && !out->full()) {
-      out->AppendExternalRow(out_rows_[out_pos_++]);
-    }
-    return !out->empty();
-  }
   Row row;
   while (out->empty() && current_ < children_.size()) {
     SIEVE_RETURN_IF_ERROR(ctx->CheckTimeout());
@@ -564,32 +477,9 @@ Status ExceptOperator::OpenParallel(ExecContext* ctx,
   return Status::OK();
 }
 
-Result<bool> ExceptOperator::Next(ExecContext* ctx, Row* out) {
-  if (buffered_) {
-    if (out_pos_ >= out_rows_.size()) return false;
-    *out = std::move(out_rows_[out_pos_++]);
-    return true;
-  }
-  while (true) {
-    SIEVE_ASSIGN_OR_RETURN(bool has, left_->Next(ctx, out));
-    if (!has) return false;
-    if (Contains(right_rows_, *out)) continue;
-    if (Contains(emitted_, *out)) continue;  // EXCEPT emits distinct rows
-    emitted_[RowHash64(*out)].push_back(*out);
-    return true;
-  }
-}
-
 Result<bool> ExceptOperator::NextBatch(ExecContext* ctx, RowBatch* out) {
+  if (buffered_) return ServeBufferedRows(out_rows_, &out_pos_, out);
   out->clear();
-  if (buffered_) {
-    // Buffered rows are owned by this operator until the next Open, so
-    // views into them are stable for the batch's lifetime.
-    while (out_pos_ < out_rows_.size() && !out->full()) {
-      out->AppendExternalRow(out_rows_[out_pos_++]);
-    }
-    return !out->empty();
-  }
   Row row;
   while (out->empty()) {
     SIEVE_RETURN_IF_ERROR(ctx->CheckTimeout());
@@ -598,7 +488,7 @@ Result<bool> ExceptOperator::NextBatch(ExecContext* ctx, RowBatch* out) {
     for (size_t k = 0; k < left_batch_.size(); ++k) {
       left_batch_.MaterializeRow(k, &row);
       if (Contains(right_rows_, row)) continue;
-      if (Contains(emitted_, row)) continue;
+      if (Contains(emitted_, row)) continue;  // EXCEPT emits distinct rows
       emitted_[RowHash64(row)].push_back(row);
       out->PushRow(std::move(row));
     }
@@ -663,13 +553,6 @@ Status MaterializedScanOperator::Open(ExecContext* ctx) {
   schema_ = QualifySchema(result->schema, qualifier_);
   PartitionSlice(rows_->size(), part_, num_parts_, &pos_, &end_);
   return Status::OK();
-}
-
-Result<bool> MaterializedScanOperator::Next(ExecContext* ctx, Row* out) {
-  (void)ctx;
-  if (rows_ == nullptr || pos_ >= end_) return false;
-  *out = (*rows_)[pos_++];
-  return true;
 }
 
 Result<bool> MaterializedScanOperator::NextBatch(ExecContext* ctx,

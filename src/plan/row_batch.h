@@ -14,9 +14,8 @@
 namespace sieve {
 
 /// Default rows per batch for batch-at-a-time execution. Exposed as the
-/// `SieveOptions::batch_size` knob; 1 reproduces the legacy row-at-a-time
-/// behavior (every NextBatch call degenerates to one Next call), 0 selects
-/// an adaptive size (see EffectiveBatchSize).
+/// `SieveOptions::batch_size` knob; 1 is a capacity-1 batch through the
+/// same code, 0 selects an adaptive size (see EffectiveBatchSize).
 inline constexpr size_t kDefaultBatchSize = 1024;
 
 /// Rows per batch for a configured batch_size knob: positive values pass
@@ -63,7 +62,7 @@ inline size_t EffectiveBatchSize(int configured, size_t num_columns) {
 ///   - PushRow steals the row's string cells into a per-batch pool (a
 ///     deque of Values, address-stable, slots recycled across refills), so
 ///     the batch owns what it references. Used whenever the source row
-///     dies before the batch does (join outputs, adapter-pulled rows).
+///     dies before the batch does (join and aggregate outputs).
 ///
 /// clear() rewinds the arena and the pool without releasing memory, so a
 /// scan that refills the same batch reuses every allocation. Batches are
@@ -329,6 +328,20 @@ class RowBatch {
   size_t pool_used_ = 0;
   Arena arena_;
 };
+
+/// Refills `out` with views of `rows` from *pos on, advancing *pos; returns
+/// false once every row has been served. Used by the operators that buffer
+/// their whole output at Open (a parallel hash-join probe, the UNION and
+/// EXCEPT merges): the buffer is owned by the operator until its next Open,
+/// so it outlives every batch served from it and views are safe.
+inline bool ServeBufferedRows(const std::vector<Row>& rows, size_t* pos,
+                              RowBatch* out) {
+  out->clear();
+  while (*pos < rows.size() && !out->full()) {
+    out->AppendExternalRow(rows[(*pos)++]);
+  }
+  return !out->empty();
+}
 
 }  // namespace sieve
 

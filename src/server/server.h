@@ -254,6 +254,10 @@ class SieveServer {
   std::atomic<uint64_t> drain_rejected_{0};
   std::atomic<uint64_t> cursors_drained_{0};
   std::atomic<uint64_t> cursors_aborted_{0};
+  /// Installed cursors not yet finished. Connection::cursor itself is
+  /// written by the worker serving the connection without mu_, so stats()
+  /// reads this counter instead of inspecting the connections.
+  std::atomic<size_t> open_cursors_{0};
 };
 
 }  // namespace sieve::server

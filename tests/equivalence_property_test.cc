@@ -4,7 +4,7 @@
 // paper's sound+secure correctness criterion as a property test.
 //
 // The sweep is also differential across execution modes: every query's
-// reference is the legacy serial row-at-a-time run (num_threads = 1,
+// reference is the serial capacity-1-batch run (num_threads = 1,
 // batch_size = 1), and every (batch_size ∈ {0 (adaptive), 1, 3, 64,
 // 1024}) ×
 // (num_threads ∈ {1, 2, 4, 8}) combination — vectorized batches, morsel-
@@ -266,7 +266,7 @@ TEST_P(EquivalenceSweep, SieveMatchesReference) {
     // Group queriers are not people; querier "students" never queries.
     if (md.querier == std::string("students")) md.querier = "carol";
 
-    // Reference: the legacy serial row-at-a-time interpreter.
+    // Reference: serial execution with capacity-1 batches.
     set_exec(1, 1);
     auto fast = sieve.Execute(sql, md);
     auto oracle = sieve.ExecuteReference(sql, md);
@@ -277,7 +277,7 @@ TEST_P(EquivalenceSweep, SieveMatchesReference) {
         << " sql=" << sql;
 
     // Differential across execution modes: every batch-size × thread
-    // combination must reproduce the row-at-a-time reference rows, row
+    // combination must reproduce the capacity-1 reference rows, row
     // order and ExecStats totals exactly.
     std::vector<std::string> serial_rows = OrderedFingerprints(*fast);
     for (int batch : {0, 1, 3, 64, 1024}) {  // 0 = adaptive per-operator size
@@ -303,7 +303,7 @@ TEST_P(EquivalenceSweep, SieveMatchesReference) {
     // Differential across API surfaces: prepare once, execute twice (the
     // second run is served by the rewrite cache) and drain a small-batch
     // cursor — all must be byte-identical to the one-shot path (which the
-    // sweep above proved identical to the row-at-a-time reference).
+    // sweep above proved identical to the capacity-1 reference).
     {
       SieveSession session(&sieve, md);
       auto prepared = session.Prepare(sql);

@@ -176,16 +176,24 @@ std::unique_ptr<Database> MakeTable(int num_rows,
   return db;
 }
 
-std::vector<std::string> DrainToStrings(Operator* op, ExecContext* ctx) {
+// Opens `op` and drains it through NextBatch with batches of `capacity`
+// rows, fingerprinting every row in stream order.
+std::vector<std::string> DrainToStrings(Operator* op, ExecContext* ctx,
+                                        size_t capacity) {
   std::vector<std::string> out;
   Status open = op->Open(ctx);
   EXPECT_TRUE(open.ok()) << open.ToString();
+  RowBatch batch(capacity);
   Row row;
   while (true) {
-    auto has = op->Next(ctx, &row);
+    auto has = op->NextBatch(ctx, &batch);
     EXPECT_TRUE(has.ok()) << has.status().ToString();
     if (!has.ok() || !*has) break;
-    out.push_back(RowFingerprint(row));
+    EXPECT_LE(batch.size(), capacity);
+    for (size_t k = 0; k < batch.size(); ++k) {
+      batch.MaterializeRow(k, &row);
+      out.push_back(RowFingerprint(row));
+    }
   }
   return out;
 }
@@ -193,33 +201,39 @@ std::vector<std::string> DrainToStrings(Operator* op, ExecContext* ctx) {
 // Drains the serial operator and `num_parts` partition clones of
 // `partitioned`, asserting the concatenated partitions reproduce the
 // serial stream exactly (same rows, same order) and that per-partition
-// stats sum to the serial stats.
+// stats sum to the serial stats. Runs at both batch-capacity extremes: a
+// capacity-1 batch and the default 1024.
 void ExpectPartitionsMatchSerial(Operator* serial, Operator* partitioned,
                                  size_t num_parts, Catalog* catalog) {
-  ExecStats serial_stats;
-  ExecContext serial_ctx;
-  serial_ctx.catalog = catalog;
-  serial_ctx.stats = &serial_stats;
-  std::vector<std::string> expected = DrainToStrings(serial, &serial_ctx);
+  for (size_t capacity : {size_t{1}, kDefaultBatchSize}) {
+    SCOPED_TRACE("capacity=" + std::to_string(capacity));
+    ExecStats serial_stats;
+    ExecContext serial_ctx;
+    serial_ctx.catalog = catalog;
+    serial_ctx.stats = &serial_stats;
+    std::vector<std::string> expected =
+        DrainToStrings(serial, &serial_ctx, capacity);
 
-  std::vector<OperatorPtr> parts;
-  ASSERT_TRUE(partitioned->CreatePartitions(num_parts, &parts));
-  ASSERT_EQ(parts.size(), num_parts);
-  ExecStats merged_stats;
-  std::vector<std::string> merged;
-  for (auto& part : parts) {
-    ExecStats part_stats;
-    ExecContext part_ctx;
-    part_ctx.catalog = catalog;
-    part_ctx.stats = &part_stats;
-    for (auto& fp : DrainToStrings(part.get(), &part_ctx)) {
-      merged.push_back(std::move(fp));
+    std::vector<OperatorPtr> parts;
+    ASSERT_TRUE(partitioned->CreatePartitions(num_parts, &parts));
+    ASSERT_EQ(parts.size(), num_parts);
+    ExecStats merged_stats;
+    std::vector<std::string> merged;
+    for (auto& part : parts) {
+      ExecStats part_stats;
+      ExecContext part_ctx;
+      part_ctx.catalog = catalog;
+      part_ctx.stats = &part_stats;
+      for (auto& fp : DrainToStrings(part.get(), &part_ctx, capacity)) {
+        merged.push_back(std::move(fp));
+      }
+      merged_stats.Add(part_stats);
     }
-    merged_stats.Add(part_stats);
+    EXPECT_EQ(merged, expected);
+    EXPECT_EQ(merged_stats, serial_stats)
+        << "merged=" << merged_stats.ToString()
+        << " serial=" << serial_stats.ToString();
   }
-  EXPECT_EQ(merged, expected);
-  EXPECT_EQ(merged_stats, serial_stats) << "merged=" << merged_stats.ToString()
-                                        << " serial=" << serial_stats.ToString();
 }
 
 TEST(PartitionBoundaryTest, SeqScanEmptyTable) {
@@ -756,7 +770,8 @@ TEST(PlanPartitionCountTest, UnderEstimatedArmStillReturnsEveryRow) {
   ExecContext serial_ctx;
   serial_ctx.catalog = &db->catalog();
   serial_ctx.stats = &serial_stats;
-  std::vector<std::string> expected = DrainToStrings(&serial, &serial_ctx);
+  std::vector<std::string> expected =
+      DrainToStrings(&serial, &serial_ctx, kDefaultBatchSize);
   ASSERT_EQ(expected.size(), 4998u);
 
   ThreadPool pool(4);
@@ -776,8 +791,8 @@ TEST(PlanPartitionCountTest, UnderEstimatedArmStillReturnsEveryRow) {
   EXPECT_EQ(stats, serial_stats);
 }
 
-// Compares ExecuteSql at (threads, batch) against the serial
-// row-at-a-time reference (threads = 1, batch = 1): rows, order, stats.
+// Compares ExecuteSql at (threads, batch) against the serial capacity-1
+// reference (threads = 1, batch = 1): rows, order, stats.
 void ExpectModeMatchesReference(Database* db, const std::string& sql,
                                 int threads, int batch) {
   auto reference = db->ExecuteSql(sql, nullptr, 0.0, 1, 1);
@@ -830,7 +845,7 @@ TEST(BatchExecutionTest, EmptyMorselsFromSparsePartitions) {
                              1024);
 }
 
-TEST(BatchExecutionTest, BatchSizeOneReproducesLegacyRowAtATime) {
+TEST(BatchExecutionTest, BatchSizeOneMatchesEveryBatchSize) {
   auto db = MakeTable(3000, {5, 2999});
   const char* queries[] = {
       "SELECT * FROM t WHERE val IN (1, 4)",
@@ -840,7 +855,7 @@ TEST(BatchExecutionTest, BatchSizeOneReproducesLegacyRowAtATime) {
   };
   for (const char* sql : queries) {
     // batch_size 1 must agree with the default batched path at every
-    // thread count (both against the row-at-a-time reference).
+    // thread count (both against the serial capacity-1 reference).
     ExpectModeMatchesReference(db.get(), sql, 1, 1024);
     ExpectModeMatchesReference(db.get(), sql, 4, 1);
     ExpectModeMatchesReference(db.get(), sql, 4, 1024);
@@ -912,13 +927,20 @@ TEST(InteriorOperatorTest, ExceptParallelProbeMatchesSerial) {
       "SELECT * FROM t WHERE val = 1 EXCEPT SELECT * FROM t WHERE id < 0");
 }
 
-TEST(BatchExecutionTest, AdapterCoversRowOnlyOperators) {
-  // HashAggregate serves its buffered groups through the default
-  // row-only NextBatch adapter, which must splice it into a batched
-  // pipeline transparently.
+TEST(BatchExecutionTest, HashAggregateServesGroupsAcrossBatches) {
+  // GROUP BY id yields one group per live row — far more groups than a
+  // small batch holds — so HashAggregate's NextBatch must serve its
+  // finished groups across many output batches, resuming exactly where
+  // the previous batch stopped.
   auto db = MakeTable(3000, {5, 2999});
-  ExpectModeMatchesReference(
-      db.get(), "SELECT val, COUNT(*) AS n FROM t GROUP BY val", 1, 1024);
+  for (int threads : {1, 4}) {
+    for (int batch : {1, 3, 1024}) {
+      ExpectModeMatchesReference(
+          db.get(),
+          "SELECT id, COUNT(*) AS n, SUM(val) AS s FROM t GROUP BY id",
+          threads, batch);
+    }
+  }
   ExpectModeMatchesReference(
       db.get(), "SELECT val, COUNT(*) AS n FROM t GROUP BY val", 4, 64);
 }
