@@ -85,6 +85,23 @@ class CteCache {
   std::map<std::string, std::unique_ptr<OnceMaterialized>> entries_;
 };
 
+/// Cooperative cancellation of one parallel worker, chained to the flag of
+/// the worker (or query) it runs under: the worker is cancelled when its
+/// own flag or any enclosing one is set. RunWorkers gives every morsel its
+/// own flag, so a failing morsel cancels only the morsels after it and the
+/// reported error is the one a serial drain would meet first.
+struct CancelFlag {
+  std::atomic<bool> set{false};
+  const CancelFlag* outer = nullptr;
+
+  bool IsSet() const {
+    for (const CancelFlag* f = this; f != nullptr; f = f->outer) {
+      if (f->set.load(std::memory_order_relaxed)) return true;
+    }
+    return false;
+  }
+};
+
 /// Per-query execution state threaded through every operator: catalog and
 /// engine hooks, query metadata (for the Δ UDF), stat counters, the timeout
 /// budget (the paper's experiments use a 30 s timeout, reported as "TO"),
@@ -96,9 +113,10 @@ class CteCache {
 /// `num_threads` partitions, and interior operators (UNION children, the
 /// hash-join probe side, hash-aggregate partials) fan out again from
 /// inside Open. Each unit of parallel work runs under its own worker
-/// ExecContext (own ExecStats, shared timer epoch, shared cancel flag,
-/// shared CTE cache); the workers' stats are merged back at the barrier,
-/// so the counters here are never mutated concurrently.
+/// ExecContext (own ExecStats, shared timer epoch, own cancel flag chained
+/// to the enclosing one, shared CTE cache); the workers' stats are merged
+/// back at the barrier, so the counters here are never mutated
+/// concurrently.
 struct ExecContext {
   Catalog* catalog = nullptr;
   EngineHooks* hooks = nullptr;
@@ -129,12 +147,12 @@ struct ExecContext {
   /// claim queue hands out dynamically (see Executor::Materialize).
   int num_threads = 1;
   ThreadPool* pool = nullptr;
-  /// Set when a sibling partition failed; checked cooperatively so the
-  /// surviving workers abandon their scans instead of running to the end.
-  std::atomic<bool>* cancel = nullptr;
+  /// Set when an earlier sibling partition failed; checked cooperatively
+  /// so the later workers abandon their scans instead of running to the end.
+  const CancelFlag* cancel = nullptr;
 
   Status CheckTimeout() const {
-    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
+    if (cancel != nullptr && cancel->IsSet()) {
       return Status::Timeout("query cancelled: a sibling partition failed");
     }
     // exec.stall slows the query down (1ms per check) so deadline tests can
@@ -159,7 +177,7 @@ struct ExecContext {
   /// body materialized from inside a worker); ThreadPool::ParallelFor's
   /// help-running makes that reuse deadlock-free.
   ExecContext MakeWorkerContext(ExecStats* worker_stats,
-                                std::atomic<bool>* cancel_flag) const {
+                                const CancelFlag* cancel_flag) const {
     ExecContext worker;
     worker.catalog = catalog;
     worker.hooks = hooks;

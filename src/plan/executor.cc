@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <mutex>
 #include <utility>
 
@@ -103,15 +104,16 @@ Status DrainPartitioned(const std::vector<OperatorPtr>& parts,
 Status RunWorkers(ExecContext* ctx, size_t n,
                   const std::function<Status(size_t, ExecContext*)>& body) {
   std::vector<ExecStats> worker_stats(n);
-  std::atomic<bool> local_cancel{false};
-  std::atomic<bool>* cancel =
-      ctx->cancel != nullptr ? ctx->cancel : &local_cancel;
+  // One flag per morsel, each chained to ctx's: cancelling the enclosing
+  // worker (or query) still stops every morsel.
+  std::unique_ptr<CancelFlag[]> cancel(new CancelFlag[n]);
+  for (size_t i = 0; i < n; ++i) cancel[i].outer = ctx->cancel;
   std::mutex error_mu;
   Status first_error;
   size_t first_error_index = n;
 
   ctx->pool->ParallelFor(n, [&](size_t i) {
-    ExecContext worker = ctx->MakeWorkerContext(&worker_stats[i], cancel);
+    ExecContext worker = ctx->MakeWorkerContext(&worker_stats[i], &cancel[i]);
     Status st;
     if (SIEVE_FAULT_POINT("exec.morsel.fail")) {
       // Fails this morsel before it runs; flows through the same
@@ -134,12 +136,18 @@ Status RunWorkers(ExecContext* ctx, size_t n,
       }
     }
     if (!st.ok()) {
+      // A serial drain stops at the first failure, so only the morsels
+      // after this one are cancelled: an earlier morsel still runs and, if
+      // it fails too, reports its own error rather than a cancellation.
+      for (size_t j = i + 1; j < n; ++j) {
+        cancel[j].set.store(true, std::memory_order_relaxed);
+      }
       std::lock_guard<std::mutex> lock(error_mu);
-      // Report the real failure, not a cancellation artifact: once a
-      // sibling flips the cancel flag, surviving workers fail with
-      // Timeout at their next cooperative check, so a non-timeout error
-      // always outranks a timeout; within the same class the lowest
-      // partition index wins (deterministic, like a serial drain).
+      // Report the real failure, not a cancellation artifact: a cancelled
+      // morsel fails with Timeout at its next cooperative check, so a
+      // non-timeout error always outranks a timeout; within the same class
+      // the lowest partition index wins (deterministic, like a serial
+      // drain).
       bool take;
       if (first_error.ok()) {
         take = true;
@@ -152,7 +160,6 @@ Status RunWorkers(ExecContext* ctx, size_t n,
         first_error = st;
         first_error_index = i;
       }
-      cancel->store(true, std::memory_order_relaxed);
     }
   });
 

@@ -26,10 +26,10 @@ struct ResultSet {
 /// Fans `body` out as `n` workers on ctx->pool: body(i, worker) runs under
 /// a private worker context — own ExecStats (merged into ctx->stats at the
 /// barrier; partial work is counted even on failure), shared timeout
-/// epoch, CTE cache and pool, and a shared cancel flag (inherited from ctx
-/// when nested, created for this fan-out otherwise). On failure the cancel
-/// flag is flipped so sibling workers stop at their next cooperative
-/// check, and the lowest-index failure is returned. Requires ctx->pool;
+/// epoch, CTE cache and pool, and its own cancel flag chained to ctx's.
+/// A failure of worker f cancels workers f+1..n-1 at their next
+/// cooperative check; the workers before f run on, so the lowest-index
+/// failure — the one a serial drain would report — is returned. Requires ctx->pool;
 /// safe to call from inside a pool task (ParallelFor help-runs its batch).
 /// This is the one fan-out scaffold shared by pipeline partitioning and
 /// the interior operators (UNION children, hash-join probe, hash-aggregate

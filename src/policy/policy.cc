@@ -1,5 +1,7 @@
 #include "policy/policy.h"
 
+#include <algorithm>
+
 #include "common/string_util.h"
 
 namespace sieve {
@@ -110,6 +112,25 @@ bool GrantMatchesMetadata(const std::string& grant_querier,
     }
   }
   return false;
+}
+
+std::vector<std::pair<std::string, std::string>> GrantKeysOf(
+    const QueryMetadata& md, const GroupResolver* resolver) {
+  std::vector<std::string> queriers{ToLower(md.querier)};
+  if (resolver != nullptr) {
+    for (const std::string& group : resolver->GroupsOf(md.querier)) {
+      queriers.push_back(ToLower(group));
+    }
+  }
+  std::vector<std::string> purposes{ToLower(md.purpose)};
+  if (purposes.front() != "any") purposes.push_back("any");
+  std::vector<std::pair<std::string, std::string>> keys;
+  for (const std::string& q : queriers) {
+    for (const std::string& p : purposes) keys.emplace_back(q, p);
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  return keys;
 }
 
 std::vector<Policy> FoldDenyIntoAllow(const Policy& allow, const Policy& deny) {

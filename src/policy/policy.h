@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/metadata.h"
@@ -97,14 +98,21 @@ bool PolicyMatchesMetadata(const Policy& policy, const QueryMetadata& md,
 
 /// Core of PolicyMatchesMetadata without needing a whole Policy: does a
 /// grant addressed to (grant_querier, grant_purpose) apply to a query with
-/// metadata `md`? Keyed cache invalidation uses this so "which cached
-/// rewrites does this policy affect" shares exact semantics (case-insensitive
-/// match, "any" purpose, group membership) with policy filtering at rewrite
-/// time.
+/// metadata `md`? Case-insensitive, "any" purpose, group membership.
 bool GrantMatchesMetadata(const std::string& grant_querier,
                           const std::string& grant_purpose,
                           const QueryMetadata& md,
                           const GroupResolver* resolver);
+
+/// The same relation enumerated from the query side: the distinct
+/// lower-cased grant keys (querier, purpose) that reach `md` — querier in
+/// {md.querier} ∪ GroupsOf(md.querier), purpose in {md.purpose, "any"}.
+/// GrantMatchesMetadata(x, y, md) holds exactly when (lower(x), lower(y))
+/// is among them. The rewrite cache stamps an entry with the version
+/// counters of these keys, so a policy mutation reaches exactly the cached
+/// rewrites whose relevant policies it changes.
+std::vector<std::pair<std::string, std::string>> GrantKeysOf(
+    const QueryMetadata& md, const GroupResolver* resolver);
 
 /// Folds an overlapping deny policy into an allow policy (Section 3.1's
 /// deny-factoring). Both policies must target the same owner and table.

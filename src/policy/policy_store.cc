@@ -32,20 +32,6 @@ Status PolicyStore::Init() {
 
 namespace {
 
-// Case-insensitive grant key: lower-cased fields joined by '\x1f' (unit
-// separator, which cannot appear in identifiers).
-std::string LowerKey(const std::string& querier, const std::string& purpose,
-                     const std::string& table) {
-  std::string key;
-  key.reserve(querier.size() + purpose.size() + table.size() + 2);
-  key += ToLower(querier);
-  key += '\x1f';
-  key += ToLower(purpose);
-  key += '\x1f';
-  key += ToLower(table);
-  return key;
-}
-
 // Serializes a value for the rOC.val column, keeping the logical type tag so
 // LoadFromTables can round-trip it.
 std::string EncodeValue(const Value& v) {
@@ -116,7 +102,6 @@ Result<int64_t> PolicyStore::AddPolicy(Policy policy) {
   int64_t id = policy.id;
   policies_.push_back(std::move(policy));
   const Policy& stored = policies_.back();
-  ++key_versions_[LowerKey(stored.querier, stored.purpose, stored.table_name)];
   size_t& table_count = table_policy_counts_[ToLower(stored.table_name)];
   bool protection_changed = (table_count == 0);
   ++table_count;
@@ -157,8 +142,6 @@ Status PolicyStore::RemovePolicy(int64_t id) {
       SIEVE_RETURN_IF_ERROR(db_->Delete(kConditionTable, rid));
     }
   }
-  ++key_versions_[LowerKey(removed.querier, removed.purpose,
-                           removed.table_name)];
   std::string table_lower = ToLower(removed.table_name);
   bool protection_changed = false;
   auto count_it = table_policy_counts_.find(table_lower);
@@ -249,12 +232,10 @@ Status PolicyStore::LoadFromTables() {
   std::sort(policies_.begin(), policies_.end(),
             [](const Policy& a, const Policy& b) { return a.id < b.id; });
   for (size_t i = 0; i < policies_.size(); ++i) by_id_[policies_[i].id] = i;
-  // Corpus-wide change: rebuild the protection counts, bump every loaded
-  // key's version, and report one wholesale event (per-key attribution is
-  // meaningless across a reload).
+  // Corpus-wide change: rebuild the protection counts and report one
+  // wholesale event (per-key attribution is meaningless across a reload).
   table_policy_counts_.clear();
   for (const Policy& p : policies_) {
-    ++key_versions_[LowerKey(p.querier, p.purpose, p.table_name)];
     ++table_policy_counts_[ToLower(p.table_name)];
   }
   BumpVersion();
@@ -264,18 +245,6 @@ Status PolicyStore::LoadFromTables() {
     listener_(event);
   }
   return Status::OK();
-}
-
-uint64_t PolicyStore::KeyVersion(const std::string& querier,
-                                 const std::string& purpose,
-                                 const std::string& table) const {
-  auto it = key_versions_.find(LowerKey(querier, purpose, table));
-  return it == key_versions_.end() ? 0 : it->second;
-}
-
-size_t PolicyStore::PolicyCountForTable(const std::string& table) const {
-  auto it = table_policy_counts_.find(ToLower(table));
-  return it == table_policy_counts_.end() ? 0 : it->second;
 }
 
 void PolicyStore::NotifyMutation(const Policy& policy,

@@ -15,8 +15,8 @@
 namespace sieve {
 
 /// One corpus mutation, reported to the registered listener so the
-/// middleware can invalidate only the cached rewrites whose dependency keys
-/// the mutation touches. All strings are lower-cased at the source.
+/// middleware can bump the rewrite-cache version counters of the keys the
+/// mutation touches. All strings are lower-cased at the source.
 struct PolicyMutationEvent {
   std::string querier;  ///< grant querier of the policy (user or group)
   std::string purpose;  ///< grant purpose of the policy
@@ -26,7 +26,7 @@ struct PolicyMutationEvent {
   /// of *every* querier touching the table, not just the grant's.
   bool protection_changed = false;
   /// True for corpus-wide changes (reload) where per-key attribution is
-  /// meaningless; listeners should invalidate everything.
+  /// meaningless; listeners should treat every key as changed.
   bool wholesale = false;
 };
 
@@ -81,19 +81,9 @@ class PolicyStore {
 
   /// Monotonic mutation counter, bumped by every corpus change (add,
   /// remove, reload). Together with GuardStore::version it forms the
-  /// middleware's policy epoch — kept as a monotonicity watermark and
-  /// diagnostic; cache validity itself is per-key (see KeyVersion and the
-  /// mutation listener).
+  /// middleware's policy epoch — a diagnostic; cache validity is the
+  /// per-key version stamp the mutation listener drives.
   uint64_t version() const { return version_.load(std::memory_order_acquire); }
-
-  /// Per-(querier, purpose, table) mutation counter (case-insensitive key):
-  /// how many times policies under that exact grant key changed. 0 when the
-  /// key was never touched.
-  uint64_t KeyVersion(const std::string& querier, const std::string& purpose,
-                      const std::string& table) const;
-
-  /// Number of live policies protecting `table` (case-insensitive).
-  size_t PolicyCountForTable(const std::string& table) const;
 
   /// Registers the callback fired synchronously inside every corpus
   /// mutation (AddPolicy, RemovePolicy, LoadFromTables), after the change is
@@ -116,8 +106,6 @@ class PolicyStore {
   int64_t next_oc_id_ = 1;
   int64_t logical_clock_ = 1;
   std::atomic<uint64_t> version_{0};
-  /// Lower-cased "querier\x1fpurpose\x1ftable" -> mutation count.
-  std::unordered_map<std::string, uint64_t> key_versions_;
   /// Lower-cased table -> live policy count (protection transitions).
   std::unordered_map<std::string, size_t> table_policy_counts_;
   std::function<void(const PolicyMutationEvent&)> listener_;

@@ -18,8 +18,8 @@
 namespace sieve {
 
 /// One guarded-expression mutation (Put or MarkOutdated), reported to the
-/// registered listener for keyed cache invalidation. Strings are
-/// lower-cased.
+/// registered listener, which bumps the key's rewrite-cache version
+/// counter. Strings are lower-cased.
 struct GuardMutationEvent {
   std::string querier;
   std::string purpose;
@@ -107,12 +107,8 @@ class GuardStore {
   /// Monotonic mutation counter, bumped when guarded expressions change
   /// (Put) or are invalidated (MarkOutdated). Together with
   /// PolicyStore::version it forms the middleware's policy epoch — a
-  /// monotonicity watermark; cache validity is per-key.
+  /// diagnostic; cache validity is the per-key version stamp.
   uint64_t version() const { return version_.load(std::memory_order_acquire); }
-
-  /// Per-(querier, purpose, table) mutation counter (case-insensitive).
-  uint64_t KeyVersion(const std::string& querier, const std::string& purpose,
-                      const std::string& table) const;
 
   /// Registers the callback fired synchronously by Put / MarkOutdated /
   /// MarkOutdatedWhere after the change is applied. At most one listener
@@ -154,11 +150,9 @@ class GuardStore {
   int64_t next_gg_row_id_ = 1;
   int64_t logical_clock_ = 1;
   std::atomic<uint64_t> version_{0};
-  /// Lower-cased "querier\x1fpurpose\x1ftable" -> mutation count.
-  std::unordered_map<std::string, uint64_t> key_versions_;
   std::function<void(const GuardMutationEvent&)> listener_;
 
-  void BumpKey(const Key& key);    // bump key version + notify listener
+  void Notify(const Key& key);  // reports a mutation of `key` to listener_
 };
 
 }  // namespace sieve

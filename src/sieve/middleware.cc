@@ -23,36 +23,22 @@ SieveMiddleware::~SieveMiddleware() {
 void SieveMiddleware::RegisterInvalidationListeners() {
   // Both listeners fire synchronously inside store mutations — normally
   // under this middleware's exclusive state_mu_, but also from direct store
-  // calls in tests and benches. RewriteCache has its own leaf mutex and
-  // never calls back into the stores, so there is no lock cycle.
+  // calls in tests and benches. Each bumps O(1) version counters; cached
+  // rewrites stamped with them read stale from then on. RewriteCache has
+  // its own leaf mutex and never calls back into the stores.
   policies_.set_mutation_listener([this](const PolicyMutationEvent& e) {
     if (e.wholesale) {
-      rewrite_cache_.InvalidateAll();
+      rewrite_cache_.Clear();
       return;
     }
-    if (e.protection_changed) {
-      // First policy added to / last removed from the table: the table
-      // flipped between unprotected and protected, which changes the
-      // rewrite of every querier touching it.
-      rewrite_cache_.InvalidateTable(e.table);
-      return;
-    }
-    // The grant reaches a cached rewrite iff it would be among the
-    // rewrite's relevant policies — same semantics as rewrite-time
-    // filtering (purpose match or "any", querier direct or via group).
-    rewrite_cache_.InvalidateTable(e.table, [&](const PreparedRewrite& rw) {
-      return GrantMatchesMetadata(e.querier, e.purpose,
-                                  QueryMetadata{rw.querier, rw.purpose},
-                                  resolver_);
-    });
+    rewrite_cache_.BumpGrant(e.querier, e.purpose, e.table);
+    // First policy added to / last removed from the table: the table
+    // flipped between unprotected and protected, which changes the
+    // rewrite of every querier touching it.
+    if (e.protection_changed) rewrite_cache_.BumpProtection(e.table);
   });
   guards_.set_mutation_listener([this](const GuardMutationEvent& e) {
-    // A guarded expression belongs to one concrete (querier, purpose) pair
-    // — only that pair's cached rewrites depend on it. Both sides are
-    // lower-cased at the source.
-    rewrite_cache_.InvalidateTable(e.table, [&](const PreparedRewrite& rw) {
-      return rw.querier == e.querier && rw.purpose == e.purpose;
-    });
+    rewrite_cache_.BumpGuard(e.querier, e.purpose, e.table);
   });
 }
 
@@ -73,8 +59,8 @@ Status SieveMiddleware::Init() {
 
 Result<int64_t> SieveMiddleware::AddPolicy(Policy policy) {
   // Exclusive: waits for in-flight executions/cursors, then mutates the
-  // stores. The mutation listeners fire inside InsertPolicy and mark stale
-  // exactly the cached rewrites whose dependency keys the insert touches.
+  // stores. The mutation listeners fire inside InsertPolicy and bump the
+  // version counters of exactly the dependency keys the insert touches.
   std::unique_lock<SharedGate> lock(state_mu_);
   return dynamics_.InsertPolicy(std::move(policy));
 }

@@ -78,22 +78,22 @@ struct MiddlewareHealth {
 /// operator, and submits them to the underlying engine. One instance per
 /// Database.
 ///
-/// ## Sessions, keyed invalidation and the rewrite cache
+/// ## Sessions, version stamps and the rewrite cache
 ///
 /// The middleware is session-oriented: each querier/connection opens a
 /// cheap SieveSession (see sieve/session.h) and prepares its queries once
 /// — `Prepare` parses and rewrites, `Execute` binds parameters and runs
 /// the cached rewrite, amortizing guard selection across the query
 /// stream. Rewrites live in a shared RewriteCache keyed by (querier,
-/// purpose, engine profile, normalized SQL) and invalidated **per
-/// dependency key**: the middleware registers mutation listeners on the
-/// policy and guard stores, and each mutation event names the
-/// (querier, purpose, table) grant key it touched — only cached rewrites
-/// that reference that table *and* whose metadata the grant reaches
-/// (directly or via group membership, GrantMatchesMetadata) are marked
-/// stale. Unaffected queriers' rewrites keep hitting through sustained
-/// policy churn; the global policy_epoch() remains as a monotonicity
-/// watermark and diagnostic, not as the validity check.
+/// purpose, engine profile, normalized SQL) and validated **per
+/// dependency key**: the cache stamps each entry with the version
+/// counters of the (querier, purpose, table) keys its rewrite depends on
+/// — including the group grants that reach the querier
+/// (GrantKeysOf) — and the middleware's mutation listeners on the policy
+/// and guard stores bump the counter of each key a mutation touches. An
+/// entry is stale once a stamped counter moved; unaffected queriers'
+/// rewrites keep hitting through sustained policy churn. The global
+/// policy_epoch() is a diagnostic, not the validity check.
 ///
 /// ## Threading
 ///
@@ -117,6 +117,7 @@ class SieveMiddleware {
         guards_(db, &policies_),
         rewriter_(db, &policies_, &guards_, &cost_, resolver),
         dynamics_(db, &policies_, &guards_, &cost_, resolver),
+        rewrite_cache_(RewriteCache::kMaxEntries, resolver),
         audit_log_(db) {
     audit_log_.set_max_table_rows(
         options_.audit_max_rows < 0 ? 0
@@ -138,8 +139,9 @@ class SieveMiddleware {
 
   /// Adds a policy through the dynamic manager (marks affected guards
   /// outdated / regenerates per the configured mode). The store mutation
-  /// listeners invalidate exactly the cached rewrites whose dependency keys
-  /// the insert touches; blocks while queries are executing.
+  /// listeners bump the version counters of the keys the insert touches,
+  /// which makes exactly the cached rewrites depending on them stale;
+  /// blocks while queries are executing.
   Result<int64_t> AddPolicy(Policy policy);
 
   /// Rewrites without executing (inspection, tests, benches). Bypasses
@@ -167,10 +169,8 @@ class SieveMiddleware {
   Status set_options(const SieveOptions& options);
 
   /// Current policy epoch: the sum of the policy- and guard-store version
-  /// counters. Cached rewrites carry the epoch they were produced under —
-  /// used only as a monotonicity watermark (the cache refuses to absorb an
-  /// entry older than one it has seen); validity is the per-entry stale
-  /// flag driven by keyed invalidation.
+  /// counters. Cached rewrites carry the epoch they were produced under as
+  /// a diagnostic; validity is the per-entry version stamp.
   uint64_t policy_epoch() const {
     return policies_.version() + guards_.version();
   }
@@ -198,9 +198,9 @@ class SieveMiddleware {
   /// True when (querier, purpose) is a subject of the policy corpus: some
   /// policy's grant reaches this metadata directly or through group
   /// membership — the same GrantMatchesMetadata semantics the rewriter and
-  /// keyed invalidation use, so authentication and enforcement can never
-  /// disagree about who a policy addresses. Takes the state gate shared
-  /// (the server's HELLO check runs on the general lane).
+  /// the cache's version stamps use, so authentication and enforcement can
+  /// never disagree about who a policy addresses. Takes the state gate
+  /// shared (the server's HELLO check runs on the general lane).
   bool IsKnownSubject(const QueryMetadata& md) const;
 
   /// The shared prepared-rewrite cache (benches/tests: Clear() emulates
@@ -233,9 +233,9 @@ class SieveMiddleware {
   friend class PreparedQuery;
   friend class ResultCursor;
 
-  /// Hooks the policy/guard stores' mutation listeners to keyed rewrite-
-  /// cache invalidation. Registered at construction so even direct store
-  /// mutations (tests, benches) invalidate correctly.
+  /// Hooks the policy/guard stores' mutation listeners to the rewrite
+  /// cache's version counters. Registered at construction so even direct
+  /// store mutations (tests, benches) make dependent rewrites stale.
   void RegisterInvalidationListeners();
 
   Database* db_;

@@ -1,7 +1,9 @@
 #include "sieve/rewrite_cache.h"
 
-#include <algorithm>
 #include <cctype>
+#include <initializer_list>
+
+#include "common/string_util.h"
 
 namespace sieve {
 
@@ -89,6 +91,38 @@ std::string RewriteCache::MakeKey(const std::string& querier,
   return key;
 }
 
+struct RewriteVersionCounters {
+  /// Key (see CounterKey) -> version. Node-based and never erased, so the
+  /// address of a counter is stable for the lifetime of this object.
+  std::unordered_map<std::string, std::atomic<uint64_t>> by_key;
+};
+
+namespace {
+
+// Counter key: a kind tag, then the lower-cased fields, each behind a
+// '\x1f' (unit separator, which cannot appear in identifiers).
+std::string CounterKey(char kind,
+                       std::initializer_list<const std::string*> fields) {
+  std::string key(1, kind);
+  for (const std::string* field : fields) {
+    key += '\x1f';
+    key += ToLower(*field);
+  }
+  return key;
+}
+
+constexpr char kGrant = 'g';
+constexpr char kGuard = 'r';
+constexpr char kProtection = 'p';
+constexpr char kGeneration = 'G';
+
+}  // namespace
+
+RewriteCache::RewriteCache(size_t capacity, const GroupResolver* resolver)
+    : capacity_(capacity == 0 ? 1 : capacity),
+      resolver_(resolver),
+      counters_(std::make_shared<RewriteVersionCounters>()) {}
+
 std::shared_ptr<const PreparedRewrite> RewriteCache::Lookup(
     const std::string& key, bool authoritative) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -98,11 +132,10 @@ std::shared_ptr<const PreparedRewrite> RewriteCache::Lookup(
     return nullptr;
   }
   if (it->second.rewrite->stale()) {
-    // Invalidation marks entries stale before erasing them, so a stale
-    // resident entry should not normally exist — but a concurrent holder
-    // could re-Insert one (watermark permitting). Treat it as a miss and
-    // drop it so the slot is re-prepared.
+    // A mutation moved one of the entry's stamped counters since it was
+    // admitted: drop it so the slot is re-prepared.
     EraseLocked(it);
+    ++stats_.invalidations;
     if (authoritative) ++stats_.misses;
     return nullptr;
   }
@@ -113,116 +146,67 @@ std::shared_ptr<const PreparedRewrite> RewriteCache::Lookup(
 }
 
 void RewriteCache::Insert(const std::string& key,
-                          std::shared_ptr<const PreparedRewrite> entry) {
+                          std::shared_ptr<PreparedRewrite> entry) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (entry->epoch < max_epoch_) {
-    // Out-of-order insert: this rewrite was produced before a policy
-    // mutation the cache has already seen. Caching it would serve a
-    // pre-mutation rewrite as current; refuse it — and mark it stale, so
-    // the preparing session that still holds it re-prepares on its next
-    // Execute. A refused entry is non-resident and therefore invisible to
-    // keyed invalidation; left unmarked it could execute its pre-mutation
-    // rewrite indefinitely.
-    entry->mark_stale();
-    ++stats_.stale_drops;
-    return;
+  entry->stamp_.clear();
+  auto stamp = [&](const std::string& counter_key) {
+    const std::atomic<uint64_t>& counter = counters_->by_key[counter_key];
+    entry->stamp_.push_back(
+        {&counter, counter.load(std::memory_order_acquire)});
+  };
+  stamp(CounterKey(kGeneration, {}));
+  const std::vector<std::pair<std::string, std::string>> grants =
+      GrantKeysOf(QueryMetadata{entry->querier, entry->purpose}, resolver_);
+  for (const std::string& table : entry->dep_tables) {
+    for (const auto& [querier, purpose] : grants) {
+      stamp(CounterKey(kGrant, {&querier, &purpose, &table}));
+    }
+    stamp(CounterKey(kGuard, {&entry->querier, &entry->purpose, &table}));
+    stamp(CounterKey(kProtection, {&table}));
   }
-  max_epoch_ = entry->epoch;
-  if (entry->stale()) {
-    ++stats_.stale_drops;
-    return;
-  }
+  entry->counters_ = counters_;
+
   auto it = entries_.find(key);
   if (it != entries_.end()) {
-    // Replace in place; recency refreshes to MRU. The displaced rewrite is
-    // marked stale (mirroring InvalidateTable) so any holder of the old
-    // shared_ptr re-prepares instead of diverging from what the cache now
-    // serves for this key.
-    it->second.rewrite->mark_stale();
-    UnindexEntry(key, *it->second.rewrite);
     lru_.splice(lru_.begin(), lru_, it->second.lru_it);
     it->second.rewrite = std::move(entry);
-    IndexEntry(key, *it->second.rewrite);
     return;
   }
   while (entries_.size() >= capacity_ && !lru_.empty()) {
-    auto victim = entries_.find(lru_.back());
-    if (victim != entries_.end()) {
-      // Eviction is capacity management, not invalidation: the entry is
-      // NOT marked stale — a PreparedQuery still holding it keeps
-      // executing it validly. It does stay reachable by *future* keyed
-      // invalidation through the weak evicted index, so a policy mutation
-      // after eviction still marks it stale for its holders.
-      TrackEvictedLocked(victim->second.rewrite);
-      EraseLocked(victim);
-      ++stats_.evictions;
-    } else {
-      lru_.pop_back();
-    }
+    // Eviction only forgets the entry: a holder keeps executing it, and
+    // its stamp still reports later mutations.
+    EraseLocked(entries_.find(lru_.back()));
+    ++stats_.evictions;
   }
   lru_.push_front(key);
-  Entry e;
-  e.rewrite = std::move(entry);
-  e.lru_it = lru_.begin();
-  IndexEntry(key, *e.rewrite);
-  entries_.emplace(key, std::move(e));
+  entries_.emplace(key, Entry{std::move(entry), lru_.begin()});
 }
 
-size_t RewriteCache::InvalidateTable(
-    const std::string& table_lower,
-    const std::function<bool(const PreparedRewrite&)>& affects) {
+void RewriteCache::BumpGrant(const std::string& querier,
+                             const std::string& purpose,
+                             const std::string& table) {
   std::lock_guard<std::mutex> lock(mu_);
-  size_t count = 0;
-  auto idx = by_table_.find(table_lower);
-  if (idx != by_table_.end()) {
-    // Collect first: EraseLocked mutates by_table_ buckets.
-    std::vector<std::string> keys(idx->second.begin(), idx->second.end());
-    for (const auto& key : keys) {
-      auto it = entries_.find(key);
-      if (it == entries_.end()) continue;
-      const PreparedRewrite& rw = *it->second.rewrite;
-      if (affects && !affects(rw)) continue;
-      rw.mark_stale();
-      EraseLocked(it);
-      ++count;
-    }
-  }
-  // Evicted-but-held entries depend on this table too: their holders keep
-  // executing them past eviction, so the mutation must reach them as well.
-  auto ev = evicted_by_table_.find(table_lower);
-  if (ev != evicted_by_table_.end()) {
-    auto& bucket = ev->second;
-    for (auto wit = bucket.begin(); wit != bucket.end();) {
-      std::shared_ptr<const PreparedRewrite> held = wit->lock();
-      if (!held) {
-        wit = bucket.erase(wit);  // last holder dropped it; purge the slot
-        continue;
-      }
-      if (held->stale()) {
-        // Already invalidated through another dependency table; don't
-        // double-count.
-        wit = bucket.erase(wit);
-        continue;
-      }
-      if (affects && !affects(*held)) {
-        ++wit;
-        continue;
-      }
-      held->mark_stale();
-      ++count;
-      wit = bucket.erase(wit);
-    }
-    if (bucket.empty()) evicted_by_table_.erase(ev);
-  }
-  stats_.invalidations += count;
-  return count;
+  BumpLocked(CounterKey(kGrant, {&querier, &purpose, &table}));
 }
 
-size_t RewriteCache::InvalidateAll() {
+void RewriteCache::BumpGuard(const std::string& querier,
+                             const std::string& purpose,
+                             const std::string& table) {
   std::lock_guard<std::mutex> lock(mu_);
-  size_t count = DropAllStaleLocked();
-  stats_.invalidations += count;
-  return count;
+  BumpLocked(CounterKey(kGuard, {&querier, &purpose, &table}));
+}
+
+void RewriteCache::BumpProtection(const std::string& table) {
+  std::lock_guard<std::mutex> lock(mu_);
+  BumpLocked(CounterKey(kProtection, {&table}));
+}
+
+void RewriteCache::BumpLocked(const std::string& key) {
+  // A key without a counter was never stamped: nothing to make stale.
+  auto it = counters_->by_key.find(key);
+  if (it != counters_->by_key.end()) {
+    it->second.fetch_add(1, std::memory_order_release);
+  }
 }
 
 RewriteCacheStats RewriteCache::stats() const {
@@ -237,73 +221,13 @@ size_t RewriteCache::size() const {
 
 void RewriteCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  // A holder must never outlive a dropped entry's validity: without the
-  // stale mark a PreparedQuery prepared before Clear() would keep its
-  // pre-mutation rewrite forever, since nothing can reach it afterwards.
-  (void)DropAllStaleLocked();
-}
-
-size_t RewriteCache::DropAllStaleLocked() {
-  size_t count = entries_.size();
-  for (auto& kv : entries_) kv.second.rewrite->mark_stale();
-  for (auto& [table, bucket] : evicted_by_table_) {
-    for (auto& weak : bucket) {
-      std::shared_ptr<const PreparedRewrite> held = weak.lock();
-      if (held && !held->stale()) {  // skip expired and multi-table repeats
-        held->mark_stale();
-        ++count;
-      }
-    }
-  }
+  BumpLocked(CounterKey(kGeneration, {}));
   entries_.clear();
   lru_.clear();
-  by_table_.clear();
-  evicted_by_table_.clear();
-  return count;
-}
-
-void RewriteCache::TrackEvictedLocked(
-    const std::shared_ptr<const PreparedRewrite>& rewrite) {
-  // use_count() == 1 under mu_ means the cache's reference is the only
-  // one left, and no new external holder can be minted concurrently
-  // (holders only obtain copies through Lookup/Insert, which require mu_):
-  // nothing to keep invalidatable. This keeps the common one-shot-SQL
-  // eviction path free of weak-index growth.
-  if (rewrite.use_count() == 1) return;
-  for (const auto& table : rewrite->dep_tables) {
-    auto& bucket = evicted_by_table_[table];
-    // Purge expired slots so the bucket tracks live holders, not eviction
-    // history.
-    bucket.erase(
-        std::remove_if(bucket.begin(), bucket.end(),
-                       [](const std::weak_ptr<const PreparedRewrite>& w) {
-                         return w.expired();
-                       }),
-        bucket.end());
-    bucket.push_back(rewrite);
-  }
-}
-
-void RewriteCache::IndexEntry(const std::string& key,
-                              const PreparedRewrite& rewrite) {
-  for (const auto& table : rewrite.dep_tables) {
-    by_table_[table].insert(key);
-  }
-}
-
-void RewriteCache::UnindexEntry(const std::string& key,
-                                const PreparedRewrite& rewrite) {
-  for (const auto& table : rewrite.dep_tables) {
-    auto it = by_table_.find(table);
-    if (it == by_table_.end()) continue;
-    it->second.erase(key);
-    if (it->second.empty()) by_table_.erase(it);
-  }
 }
 
 void RewriteCache::EraseLocked(
     std::unordered_map<std::string, Entry>::iterator it) {
-  UnindexEntry(it->first, *it->second.rewrite);
   lru_.erase(it->second.lru_it);
   entries_.erase(it);
 }

@@ -3,16 +3,15 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "parser/ast.h"
+#include "policy/policy.h"
 #include "sieve/rewriter.h"
 
 namespace sieve {
@@ -24,6 +23,11 @@ namespace sieve {
 /// case; a differently-cased keyword merely misses the cache.
 std::string NormalizeSql(const std::string& sql);
 
+/// Version counters a RewriteCache stamps its entries against (defined in
+/// rewrite_cache.cc). Shared by the cache and every entry it stamped, so a
+/// holder can check its stamp even after the cache is gone.
+struct RewriteVersionCounters;
+
 /// One cached, immutable rewrite: everything a session needs to execute a
 /// prepared query without touching the rewriter again. `stmt` is a shared
 /// template (it may contain ParameterExpr placeholders) — executions must
@@ -31,11 +35,12 @@ std::string NormalizeSql(const std::string& sql);
 ///
 /// Beyond the rewrite itself, an entry carries its **dependency set**: the
 /// normalized (lower-cased) querier/purpose it was prepared for and the
-/// base tables its statement references. Policy or guard mutations that
-/// touch one of those dependency keys mark the entry stale (an atomic flag
-/// — the only mutable member); a PreparedQuery holding the entry re-prepares
-/// on its next Execute, while entries whose dependencies did not change keep
-/// executing untouched.
+/// base tables its statement references. RewriteCache::Insert stamps the
+/// entry with the current value of every version counter that set depends
+/// on; the entry is stale once one of them has moved. A PreparedQuery
+/// holding a stale entry re-prepares on its next Execute, while entries
+/// whose dependencies did not change keep executing untouched — whether
+/// or not the cache still holds them.
 struct PreparedRewrite {
   std::string normalized_sql;            ///< cache-key form of the input
   SelectStmtPtr stmt;                    ///< rewritten statement template
@@ -46,9 +51,7 @@ struct PreparedRewrite {
   /// lower-cased name for `:name` slots, "" for positional `?`.
   std::vector<std::string> params;
   /// Policy epoch the rewrite was produced under (Σ store versions at
-  /// prepare time). Monotonicity watermark: the cache refuses to adopt an
-  /// entry older than one it already absorbed. Validity, however, is the
-  /// stale flag below, not an epoch comparison.
+  /// prepare time). A diagnostic only: validity is the version stamp.
   uint64_t epoch = 0;
 
   // -- dependency set (normalized, lower-case) --
@@ -56,22 +59,35 @@ struct PreparedRewrite {
   std::string purpose;                 ///< metadata purpose at prepare time
   std::vector<std::string> dep_tables; ///< base tables the statement reads
 
-  /// True once a policy/guard mutation invalidated one of this entry's
-  /// dependency keys. Set exactly once, never cleared.
-  bool stale() const { return stale_.load(std::memory_order_acquire); }
-  void mark_stale() const { stale_.store(true, std::memory_order_release); }
+  /// True once a version counter stamped at Insert has moved, i.e. a
+  /// policy or guard mutation touched one of this entry's dependency keys
+  /// (or the cache was cleared). Lock-free; never reverts to false. An
+  /// entry that was never inserted has no stamp and is never stale.
+  bool stale() const {
+    for (const StampedCounter& s : stamp_) {
+      if (s.counter->load(std::memory_order_acquire) != s.value) return true;
+    }
+    return false;
+  }
 
  private:
-  mutable std::atomic<bool> stale_{false};
+  friend class RewriteCache;
+  struct StampedCounter {
+    const std::atomic<uint64_t>* counter;
+    uint64_t value;  ///< the counter's value when the entry was admitted
+  };
+  /// Written once by RewriteCache::Insert, before the entry is shared.
+  std::vector<StampedCounter> stamp_;
+  /// Keeps the counters stamp_ points into alive.
+  std::shared_ptr<const RewriteVersionCounters> counters_;
 };
 
 /// Cumulative counters of one RewriteCache (snapshot semantics).
 struct RewriteCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
-  uint64_t invalidations = 0;  ///< entries marked stale by keyed invalidation
+  uint64_t invalidations = 0;  ///< resident entries dropped: stamp moved
   uint64_t evictions = 0;      ///< entries dropped by LRU capacity pressure
-  uint64_t stale_drops = 0;    ///< out-of-order inserts refused (epoch < max)
 
   double HitRate() const {
     uint64_t total = hits + misses;
@@ -81,66 +97,71 @@ struct RewriteCacheStats {
 };
 
 /// Shared, lock-protected cache of prepared rewrites keyed by
-/// (querier, purpose, engine profile, normalized SQL), invalidated
-/// **per dependency key**: every entry is indexed by the base tables it
-/// references, and a policy/guard mutation removes only the entries whose
-/// (querier, purpose, table) dependencies it affects — unaffected queriers'
-/// rewrites keep hitting through sustained policy churn. Capacity is
-/// bounded with true LRU eviction (a lookup refreshes recency; the least
-/// recently used entry is evicted at capacity).
+/// (querier, purpose, engine profile, normalized SQL), validated **per
+/// dependency key** by version stamps. The cache owns one version counter
+/// per key a rewrite can depend on, all lower-cased:
+///   * grant (x, y, t): policies granted to querier-or-group x for purpose
+///     y on table t changed;
+///   * guard (q, p, t): the guarded expression of (q, p, t) was replaced
+///     or marked outdated;
+///   * protection t: t flipped between unprotected and protected;
+///   * one cache-wide generation, bumped by Clear().
+/// Insert stamps an entry for querier q, purpose p and tables T with the
+/// grant counters of GrantKeysOf({q, p}) on each t in T, the guard counter
+/// (q, p, t), the protection counter of t and the generation. A mutation
+/// bumps O(1) counters (Bump*) and never walks the cache; readers find out
+/// through PreparedRewrite::stale(). Unaffected queriers' rewrites keep
+/// hitting through sustained policy churn. Capacity is bounded with true
+/// LRU eviction (a lookup refreshes recency; the least recently used entry
+/// is evicted at capacity). Eviction only forgets an entry: a holder keeps
+/// executing it, and its stamp still reports later mutations.
+///
+/// Counters are never erased, so their addresses are stable; there is one
+/// per key some admitted entry depended on. A bump of a key no entry ever
+/// stamped is a no-op — a later stamp reads the counter as it is then.
 ///
 /// Threading: all methods are safe to call concurrently; returned entries
 /// are immutable shared_ptrs that stay valid after invalidation or
-/// eviction (holders observe invalidation through PreparedRewrite::stale).
-/// Eviction does not end an entry's invalidation reach: entries evicted
-/// while still held by a PreparedQuery stay registered in a weak
-/// per-table index, so a later policy/guard mutation on one of their
-/// dependency keys still marks them stale — a holder never keeps
-/// executing a pre-mutation rewrite just because cache churn evicted its
-/// entry.
+/// eviction. Stamps are only meaningful when Insert does not race the
+/// mutation it should observe: the middleware rewrites, stamps and mutates
+/// under its exclusive state lock.
 class RewriteCache {
  public:
-  explicit RewriteCache(size_t capacity = kMaxEntries)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
+  /// `resolver` expands a querier into its groups for the grant stamp
+  /// (null: no group grants reach any entry).
+  explicit RewriteCache(size_t capacity = kMaxEntries,
+                        const GroupResolver* resolver = nullptr);
 
   static std::string MakeKey(const std::string& querier,
                              const std::string& purpose,
                              const std::string& profile,
                              const std::string& normalized_sql);
 
-  /// Returns the entry for `key` if present (and not stale), refreshing its
-  /// LRU recency. `authoritative` only controls miss accounting: the
-  /// optimistic pre-lock probe passes false so its miss is not counted (the
-  /// authoritative retry right after counts it). A probe hit is only a hint
-  /// — Execute re-validates the entry's stale flag under the middleware's
+  /// Returns the entry for `key` if present and not stale, refreshing its
+  /// LRU recency. A stale resident entry is erased and counted in
+  /// stats().invalidations. `authoritative` only controls miss accounting:
+  /// the optimistic pre-lock probe passes false so its miss is not counted
+  /// (the authoritative retry right after counts it). A probe hit is only
+  /// a hint — Execute re-checks the entry's stamp under the middleware's
   /// shared state lock before running it.
   std::shared_ptr<const PreparedRewrite> Lookup(const std::string& key,
                                                 bool authoritative = true);
 
-  /// Inserts `entry` (which must carry its dependency set). An entry whose
-  /// epoch is older than the newest epoch the cache has absorbed is an
-  /// out-of-order insert from a rewrite that raced a policy mutation: it is
-  /// dropped (counted in stats().stale_drops) and marked stale — adopting
-  /// it would serve a pre-mutation rewrite as current, and the preparing
-  /// session holding it must re-prepare rather than keep executing it
-  /// outside invalidation's reach. At capacity the least recently used
-  /// entry is evicted first; if a key is re-inserted, the displaced
-  /// rewrite is marked stale so old holders converge on the new one.
-  void Insert(const std::string& key,
-              std::shared_ptr<const PreparedRewrite> entry);
+  /// Stamps `entry` (which must carry its dependency set, and must not yet
+  /// be shared with another thread) with the current version counters of
+  /// its dependency keys, then caches it under `key`. Call it after the
+  /// rewrite, so guard regeneration done by the rewrite itself is already
+  /// counted. At capacity the least recently used entry is evicted first;
+  /// re-inserting a key replaces its entry.
+  void Insert(const std::string& key, std::shared_ptr<PreparedRewrite> entry);
 
-  /// Keyed invalidation: marks stale and removes every entry that depends
-  /// on `table_lower` (a lower-cased base-table name) and whose
-  /// querier/purpose satisfies `affects`. A null `affects` matches every
-  /// entry on the table (used when the table's protection status itself
-  /// changed, which alters rewrites for all queriers). Returns the number
-  /// of entries invalidated.
-  size_t InvalidateTable(
-      const std::string& table_lower,
-      const std::function<bool(const PreparedRewrite&)>& affects = nullptr);
-
-  /// Wholesale invalidation (corpus reload): marks every entry stale.
-  size_t InvalidateAll();
+  /// Mutation side of validity: each bumps one counter (keys are
+  /// lower-cased here), which makes every entry stamped with it stale.
+  void BumpGrant(const std::string& querier, const std::string& purpose,
+                 const std::string& table);
+  void BumpGuard(const std::string& querier, const std::string& purpose,
+                 const std::string& table);
+  void BumpProtection(const std::string& table);
 
   /// Upper bound on cached rewrites. A one-shot Execute path with
   /// inlined literals creates one entry per distinct SQL text; without a
@@ -150,8 +171,8 @@ class RewriteCache {
 
   RewriteCacheStats stats() const;
   size_t size() const;
-  /// Drops every entry like InvalidateAll — resident and evicted-but-held
-  /// entries are marked stale, so their holders re-prepare — but leaves
+  /// Drops every entry and bumps the generation, so every entry admitted
+  /// before — resident or held elsewhere — is stale from now on. Leaves
   /// stats().invalidations untouched (a cache reset, not a mutation).
   void Clear();
 
@@ -161,40 +182,18 @@ class RewriteCache {
     std::list<std::string>::iterator lru_it;  // position in lru_
   };
 
-  // All require mu_ held.
-  void IndexEntry(const std::string& key, const PreparedRewrite& rewrite);
-  void UnindexEntry(const std::string& key, const PreparedRewrite& rewrite);
-  void EraseLocked(
-      std::unordered_map<std::string, Entry>::iterator it);
-  /// Registers an eviction victim in evicted_by_table_ if external holders
-  /// still reference it (no-op otherwise).
-  void TrackEvictedLocked(
-      const std::shared_ptr<const PreparedRewrite>& rewrite);
-  /// Marks every resident and evicted-but-held entry stale, empties the
-  /// cache and returns how many entries were marked (each counted once).
-  size_t DropAllStaleLocked();
+  // Both require mu_ held.
+  void EraseLocked(std::unordered_map<std::string, Entry>::iterator it);
+  void BumpLocked(const std::string& key);
 
   const size_t capacity_;
+  const GroupResolver* const resolver_;
   mutable std::mutex mu_;
-  uint64_t max_epoch_ = 0;  ///< newest entry epoch absorbed (watermark)
+  /// Written under mu_; read lock-free through the stamps.
+  const std::shared_ptr<RewriteVersionCounters> counters_;
   std::unordered_map<std::string, Entry> entries_;
   /// LRU order, most recent first; holds cache keys.
   std::list<std::string> lru_;
-  /// Secondary index: lower-cased dependency table -> cache keys of the
-  /// entries referencing it. Drives keyed invalidation without a full scan.
-  std::unordered_map<std::string, std::unordered_set<std::string>> by_table_;
-  /// Evicted-but-still-held entries, indexed like by_table_. Eviction is
-  /// capacity management and must not force holders to re-prepare, but a
-  /// *later* mutation on an evicted entry's dependency keys must still
-  /// reach it — without this index a long-lived PreparedQuery whose entry
-  /// was evicted by churn would execute a pre-mutation rewrite forever.
-  /// weak_ptrs expire when the last holder drops the entry; expired slots
-  /// are purged during eviction and invalidation walks, so the index is
-  /// bounded by the number of live external holders, not by eviction
-  /// history.
-  std::unordered_map<std::string,
-                     std::vector<std::weak_ptr<const PreparedRewrite>>>
-      evicted_by_table_;
   RewriteCacheStats stats_;
 };
 

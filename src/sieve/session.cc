@@ -51,7 +51,7 @@ Result<std::shared_ptr<const PreparedRewrite>> SieveSession::PrepareRewrite(
 
   if (optimistic) {
     // Lock-free fast path. Non-authoritative: a hit is only a hint —
-    // Execute re-validates the entry's stale flag under the shared state
+    // Execute re-checks the entry's version stamp under the shared state
     // lock before running it — and its miss is not recorded; the
     // authoritative retry below counts it.
     if (auto hit = mw->rewrite_cache_.Lookup(key, /*authoritative=*/false)) {
@@ -94,9 +94,9 @@ Result<std::shared_ptr<const PreparedRewrite>> SieveSession::PrepareRewrite(
   entry->rewritten_sql = std::move(rewrite.sql);
   entry->tables = std::move(rewrite.tables);
   entry->default_denied = rewrite.default_denied;
-  // Epoch is read *after* the rewrite: regenerating guards bumped the
-  // guard-store version, and the cache orders entries by the epoch they
-  // were produced under. Stable here — mutations need this same lock.
+  // Epoch is read, and Insert stamps the entry, *after* the rewrite:
+  // regenerating guards bumped the guard counters of this very entry.
+  // Stable here — mutations need this same lock.
   entry->epoch = mw->policy_epoch();
   mw->rewrite_cache_.Insert(key, entry);
   return std::shared_ptr<const PreparedRewrite>(std::move(entry));
@@ -174,8 +174,8 @@ Result<ResultSet> PreparedQuery::Execute(const std::vector<Value>& params,
   for (int attempt = 0; attempt < kMaxRefreshRetries; ++attempt) {
     {
       std::shared_lock<SharedGate> lock(mw_->state_mu_);
-      // Keyed invalidation: only a mutation touching one of *this*
-      // rewrite's dependency keys marks it stale — unrelated AddPolicy
+      // Version stamp: only a mutation touching one of *this* rewrite's
+      // dependency keys makes it stale — unrelated AddPolicy
       // churn leaves the snapshot valid and execution proceeds.
       if (!rewrite_->stale()) {
         SIEVE_ASSIGN_OR_RETURN(SelectStmtPtr bound,

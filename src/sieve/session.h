@@ -138,10 +138,10 @@ class ResultCursor {
 /// with different parameter bindings. Holds an immutable snapshot of the
 /// rewrite; when a policy or guard mutation touches one of *this* query's
 /// dependency keys — its querier/purpose or a table it references — the
-/// snapshot is marked stale and the next Execute transparently re-prepares
-/// (through the shared cache). Mutations on other queriers' keys leave the
-/// snapshot valid, so results always reflect a consistent policy corpus
-/// without paying for unrelated churn.
+/// snapshot's version stamp moves and the next Execute transparently
+/// re-prepares (through the shared cache). Mutations on other queriers'
+/// keys leave the snapshot valid, so results always reflect a consistent
+/// policy corpus without paying for unrelated churn.
 ///
 /// Single-threaded like its session; movable. Results are byte-identical
 /// — rows, row order and ExecStats — to a one-shot
@@ -191,7 +191,7 @@ class PreparedQuery {
   const std::string& sql() const { return rewrite_->normalized_sql; }
   /// Rewrite snapshot this query currently executes (diagnostics: per-table
   /// strategy, default-deny flag, rewritten SQL, epoch). Refreshed when an
-  /// Execute finds the snapshot marked stale by keyed invalidation.
+  /// Execute finds the snapshot stale (its version stamp moved).
   std::shared_ptr<const PreparedRewrite> rewrite() const { return rewrite_; }
   const QueryMetadata& metadata() const { return md_; }
 

@@ -10,9 +10,12 @@
 // estimate (a one-morsel input drains in place, without a fan-out).
 
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -479,12 +482,55 @@ TEST(ParallelExecutionTest, TimeoutCancelsParallelScan) {
 }
 
 TEST(ParallelExecutionTest, CancelFlagShortCircuitsCheckTimeout) {
-  std::atomic<bool> cancel{true};
+  CancelFlag outer;
+  outer.set = true;
+  CancelFlag cancel;
+  cancel.outer = &outer;  // an enclosing flag cancels the worker too
   ExecContext ctx;
   ctx.cancel = &cancel;
   Status st = ctx.CheckTimeout();
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kTimeout);
+}
+
+TEST(ParallelExecutionTest, FailingMorselCancelsOnlyLaterMorsels) {
+  // A serial drain reports the first failure in morsel order. Morsel 2
+  // fails at once; morsel 3 waits until that cancels it; only then does
+  // morsel 0 check for cancellation and fail for real itself. Morsel 0 must
+  // not have been cancelled, and its error — not morsel 2's — must win.
+  // The waits are bounded, so a pool that runs the morsels one at a time
+  // cannot hang the test.
+  ThreadPool pool(3);
+  ExecContext ctx;
+  ctx.num_threads = 4;
+  ctx.pool = &pool;
+  std::atomic<bool> later_cancelled{false};
+  auto wait_for = [](const std::function<bool()>& done) {
+    for (int k = 0; k < 2000 && !done(); ++k) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  Status earlier_check;
+  Status st = RunWorkers(&ctx, 4, [&](size_t i, ExecContext* worker) {
+    switch (i) {
+      case 0:
+        wait_for([&] { return later_cancelled.load(); });
+        earlier_check = worker->CheckTimeout();
+        return Status::ExecutionError("morsel 0 failed");
+      case 2:
+        return Status::ExecutionError("morsel 2 failed");
+      case 3:
+        wait_for([&] { return !worker->CheckTimeout().ok(); });
+        later_cancelled = !worker->CheckTimeout().ok();
+        return worker->CheckTimeout();
+      default:
+        return Status::OK();
+    }
+  });
+  EXPECT_TRUE(later_cancelled.load()) << "morsel 3 follows the failure";
+  EXPECT_TRUE(earlier_check.ok()) << earlier_check.ToString();
+  EXPECT_EQ(st.code(), StatusCode::kExecutionError);
+  EXPECT_EQ(st.message(), "morsel 0 failed");
 }
 
 // ---------------------------------------------------------------------------

@@ -1,17 +1,23 @@
 // Unit tests for the session-oriented middleware API: SieveSession /
-// PreparedQuery / ResultCursor, parameter binding edge cases, the keyed
-// (per-dependency) rewrite-cache invalidation, LRU eviction and the
-// validated SieveOptions update path.
+// PreparedQuery / ResultCursor, parameter binding edge cases, the
+// rewrite cache's per-key version stamps (with a validity property test),
+// LRU eviction and the validated SieveOptions update path.
 
 #include "sieve/session.h"
 
+#include <memory>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "parser/parser.h"
 #include "sieve/middleware.h"
 #include "sieve/rewrite_cache.h"
+#include "common/rng.h"
+#include "common/string_util.h"
 #include "tests/test_fixtures.h"
 
 namespace sieve {
@@ -373,46 +379,6 @@ TEST_F(SessionTest, CursorRejectsZeroBatchWithoutEndingStream) {
   EXPECT_GT(rest->size(), 0u);
 }
 
-TEST_F(SessionTest, OutOfOrderInsertIsDroppedNotAdopted) {
-  // Regression: Insert used to *adopt* an older entry's epoch (rolling the
-  // cache epoch backward, clearing valid entries, and serving a
-  // pre-policy-change rewrite as current). An out-of-order insert must be
-  // refused instead.
-  RewriteCache cache;
-  auto fresh = std::make_shared<PreparedRewrite>();
-  fresh->epoch = 5;
-  cache.Insert("k", fresh);
-  auto stale = std::make_shared<PreparedRewrite>();
-  stale->epoch = 3;  // produced before a mutation the cache already saw
-  cache.Insert("k2", stale);
-  EXPECT_EQ(cache.size(), 1u) << "stale-epoch entry must be dropped";
-  EXPECT_NE(cache.Lookup("k"), nullptr) << "fresh entry must survive";
-  EXPECT_EQ(cache.Lookup("k2"), nullptr);
-  EXPECT_EQ(cache.stats().stale_drops, 1u);
-  EXPECT_EQ(cache.stats().invalidations, 0u);
-  // The refused entry is non-resident and thus invisible to keyed
-  // invalidation — it must come back marked stale so its holder
-  // re-prepares instead of executing the pre-mutation rewrite.
-  EXPECT_TRUE(stale->stale());
-  EXPECT_FALSE(fresh->stale());
-}
-
-TEST_F(SessionTest, ReinsertMarksDisplacedRewriteStale) {
-  // If a key is ever re-inserted, holders of the displaced shared_ptr must
-  // re-prepare rather than diverge from what the cache now serves.
-  RewriteCache cache;
-  auto first = std::make_shared<PreparedRewrite>();
-  first->epoch = 1;
-  auto second = std::make_shared<PreparedRewrite>();
-  second->epoch = 2;
-  cache.Insert("k", first);
-  cache.Insert("k", second);
-  EXPECT_TRUE(first->stale());
-  EXPECT_FALSE(second->stale());
-  EXPECT_EQ(cache.Lookup("k").get(), second.get());
-  EXPECT_EQ(cache.size(), 1u);
-}
-
 TEST_F(SessionTest, NonAuthoritativeProbeMissIsNotCounted) {
   // The optimistic pre-lock probe must not double-count misses: only the
   // authoritative retry records one.
@@ -447,11 +413,9 @@ TEST_F(SessionTest, LruEvictionSparesJustHitEntry) {
 }
 
 TEST_F(SessionTest, EvictedHeldEntryStillReachableByKeyedInvalidation) {
-  // Regression: eviction removed an entry from the per-table index while a
-  // PreparedQuery still held it, so a policy mutation *after* eviction
-  // could never mark the held entry stale — the holder silently executed
-  // a pre-mutation rewrite forever. Evicted-but-held entries must stay
-  // reachable by keyed invalidation.
+  // Regression: a policy mutation *after* eviction must still reach an
+  // entry a PreparedQuery holds, or the holder silently executes a
+  // pre-mutation rewrite forever. The entry's stamp goes with it.
   RewriteCache cache(/*capacity=*/1);
   auto mk = [](std::string querier, std::vector<std::string> tables) {
     auto e = std::make_shared<PreparedRewrite>();
@@ -469,13 +433,11 @@ TEST_F(SessionTest, EvictedHeldEntryStillReachableByKeyedInvalidation) {
 
   // A mutation on alice's grant key reaches the evicted-but-held entry and
   // spares the resident non-matching one.
-  size_t n = cache.InvalidateTable("wifi", [](const PreparedRewrite& rw) {
-    return rw.querier == "alice";
-  });
-  EXPECT_EQ(n, 1u);
+  cache.BumpGrant("alice", "any", "wifi");
   EXPECT_TRUE(held->stale());
   EXPECT_NE(cache.Lookup("b"), nullptr);
-  EXPECT_EQ(cache.stats().invalidations, 1u);
+  // Only resident entries a Lookup drops count as invalidations.
+  EXPECT_EQ(cache.stats().invalidations, 0u);
 }
 
 TEST_F(SessionTest, EvictedHeldEntryReachedByWholesaleInvalidation) {
@@ -486,28 +448,28 @@ TEST_F(SessionTest, EvictedHeldEntryReachedByWholesaleInvalidation) {
     e->dep_tables = std::move(tables);
     return e;
   };
-  auto held = mk({"wifi", "sensors"});  // multi-table: must count once
+  auto held = mk({"wifi", "sensors"});
   cache.Insert("a", held);
-  cache.Insert("b", mk({"wifi"}));  // evicts a
-  EXPECT_EQ(cache.InvalidateAll(), 2u) << "resident + evicted-held, no dup";
-  EXPECT_TRUE(held->stale());
+  auto resident = mk({"wifi"});
+  cache.Insert("b", resident);  // evicts a
+  cache.Clear();
+  EXPECT_TRUE(held->stale()) << "evicted-but-held entry";
+  EXPECT_TRUE(resident->stale()) << "resident entry";
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.stats().invalidations, 0u) << "a reset, not a mutation";
 }
 
-TEST_F(SessionTest, DroppedHolderEndsEvictedEntrysInvalidationReach) {
-  // Once the last holder releases an evicted entry there is nothing left
-  // to invalidate: the weak slot expires and must not be counted.
-  RewriteCache cache(/*capacity=*/1);
-  auto mk = [](std::vector<std::string> tables) {
-    auto e = std::make_shared<PreparedRewrite>();
-    e->epoch = 1;
-    e->dep_tables = std::move(tables);
-    return e;
-  };
-  auto held = mk({"wifi"});
-  cache.Insert("a", held);
-  cache.Insert("b", mk({"wifi"}));  // evicts a while `held` references it
-  held.reset();                     // last holder gone; weak slot expires
-  EXPECT_EQ(cache.InvalidateTable("wifi"), 1u) << "only the resident entry";
+TEST_F(SessionTest, HeldEntryOutlivesItsCache) {
+  // The stamp shares ownership of the counters it reads, so a holder can
+  // still check it after the cache is gone.
+  auto held = std::make_shared<PreparedRewrite>();
+  held->dep_tables = {"wifi"};
+  {
+    RewriteCache cache;
+    cache.Insert("a", held);
+    cache.BumpProtection("wifi");
+  }
+  EXPECT_TRUE(held->stale());
 }
 
 TEST_F(SessionTest, KeyedInvalidationOnlyTouchesMatchingEntries) {
@@ -527,10 +489,7 @@ TEST_F(SessionTest, KeyedInvalidationOnlyTouchesMatchingEntries) {
   cache.Insert("b", bob);
   cache.Insert("c", carol);
 
-  size_t n = cache.InvalidateTable("wifi", [](const PreparedRewrite& rw) {
-    return rw.querier == "alice";
-  });
-  EXPECT_EQ(n, 1u);
+  cache.BumpGrant("alice", "any", "wifi");
   EXPECT_TRUE(alice->stale());
   EXPECT_FALSE(bob->stale());
   EXPECT_FALSE(carol->stale());
@@ -539,8 +498,8 @@ TEST_F(SessionTest, KeyedInvalidationOnlyTouchesMatchingEntries) {
   EXPECT_NE(cache.Lookup("c"), nullptr);
   EXPECT_EQ(cache.stats().invalidations, 1u);
 
-  // Null predicate: every entry on the table (protection transitions).
-  EXPECT_EQ(cache.InvalidateTable("wifi"), 1u);
+  // A protection transition reaches every entry on the table.
+  cache.BumpProtection("wifi");
   EXPECT_TRUE(bob->stale());
   EXPECT_FALSE(carol->stale()) << "other table's entries stay untouched";
 }
@@ -717,6 +676,208 @@ TEST_F(SessionTest, UnboundParameterInsideScalarSubqueryFailsCleanly) {
   auto result = prepared->Execute();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kExecutionError);
+}
+
+TEST(GrantKeysTest, EnumeratesExactlyTheMatchingGrants) {
+  // GrantKeysOf(md) is GrantMatchesMetadata(., ., md) enumerated: a grant
+  // (x, y) reaches md exactly when (lower(x), lower(y)) is among the keys.
+  MapGroupResolver groups;
+  groups.AddMembership("Bob", "Students");
+  groups.AddMembership("bob", "TAs");
+  groups.AddMembership("carol", "students");
+  const std::vector<std::string> names = {"bob",  "BOB",     "Students", "tas",
+                                          "Carol", "faculty", ""};
+  const std::vector<std::string> purposes = {"Analytics", "analytics", "ANY",
+                                             "any",       "Social",    ""};
+  for (const GroupResolver* resolver :
+       {static_cast<const GroupResolver*>(&groups),
+        static_cast<const GroupResolver*>(nullptr)}) {
+    for (const std::string& q : names) {
+      for (const std::string& p : purposes) {
+        const QueryMetadata md{q, p};
+        const auto keys = GrantKeysOf(md, resolver);
+        const std::set<std::pair<std::string, std::string>> key_set(
+            keys.begin(), keys.end());
+        EXPECT_EQ(key_set.size(), keys.size()) << "keys are distinct";
+        for (const auto& [x, y] : keys) {
+          EXPECT_TRUE(GrantMatchesMetadata(x, y, md, resolver))
+              << x << "/" << y << " for " << q << "/" << p;
+        }
+        for (const std::string& x : names) {
+          for (const std::string& y : purposes) {
+            EXPECT_EQ(GrantMatchesMetadata(x, y, md, resolver),
+                      key_set.count({ToLower(x), ToLower(y)}) == 1)
+                << x << "/" << y << " for " << q << "/" << p;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(RewriteCacheValidityProperty, StaleMatchesPushRuleUnderRandomChurn) {
+  // A seeded random stream of real mutations runs through the middleware
+  // and its stores. After every step each held entry's stale() must equal
+  // the push rule the cache applied before it had version stamps: a policy
+  // mutation on (x, y, t) reaches the entries on t whose metadata the
+  // grant matches (GrantMatchesMetadata), or every entry on t when t's
+  // protection flips; a guard mutation on (q, p, t) reaches the entries of
+  // exactly that key; a reload or Clear() reaches every entry. Staleness
+  // is sticky. Held entries are admitted through Insert as a session
+  // would, and are repeatedly evicted while held.
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    MiniCampus campus;
+    MapGroupResolver groups;
+    groups.AddMembership("Bob", "Students");
+    groups.AddMembership("carol", "STUDENTS");
+    groups.AddMembership("ALICE", "Faculty");
+    SieveMiddleware sieve(&campus.db(), &groups);
+    ASSERT_TRUE(sieve.Init().ok());
+    RewriteCache& cache = sieve.rewrite_cache();
+    Rng rng(seed);
+    auto pick = [&rng](const std::vector<std::string>& v) {
+      return v[static_cast<size_t>(
+          rng.Uniform(0, static_cast<int64_t>(v.size()) - 1))];
+    };
+    const std::vector<std::string> users = {"alice", "Bob", "CAROL", "dave"};
+    const std::vector<std::string> grantees = {"ALICE", "bob",      "Carol",
+                                               "dave",  "students", "Faculty"};
+    const std::vector<std::string> purposes = {"Analytics", "ANY", "any",
+                                               "social"};
+    const std::vector<std::string> tables = {"wifi", "Aps"};
+
+    struct Held {
+      std::shared_ptr<PreparedRewrite> entry;
+      bool stale = false;  // the push rule's verdict
+    };
+    std::vector<Held> held;
+    std::vector<int64_t> live;
+    size_t admitted = 0;
+    auto protected_by = [&](const std::string& table) {
+      for (const Policy& p : sieve.policies().policies()) {
+        if (EqualsIgnoreCase(p.table_name, table)) return true;
+      }
+      return false;
+    };
+    auto reads = [](const Held& h, const std::string& table) {
+      for (const std::string& t : h.entry->dep_tables) {
+        if (t == ToLower(table)) return true;
+      }
+      return false;
+    };
+    auto policy_event = [&](const std::string& x, const std::string& y,
+                            const std::string& table, bool flipped) {
+      for (Held& h : held) {
+        const QueryMetadata md{h.entry->querier, h.entry->purpose};
+        if (reads(h, table) &&
+            (flipped || GrantMatchesMetadata(x, y, md, &groups))) {
+          h.stale = true;
+        }
+      }
+    };
+    auto guard_event = [&](const std::string& q, const std::string& p,
+                           const std::string& table) {
+      for (Held& h : held) {
+        if (reads(h, table) && h.entry->querier == ToLower(q) &&
+            h.entry->purpose == ToLower(p)) {
+          h.stale = true;
+        }
+      }
+    };
+
+    for (int step = 0; step < 150; ++step) {
+      if (held.size() < 12 || rng.Chance(0.3)) {
+        auto entry = std::make_shared<PreparedRewrite>();
+        entry->querier = ToLower(pick(users));
+        entry->purpose = ToLower(pick(purposes));
+        const int64_t mask = rng.Uniform(1, 3);
+        if (mask & 1) entry->dep_tables.push_back("wifi");
+        if (mask & 2) entry->dep_tables.push_back("aps");
+        cache.Insert("held-" + std::to_string(admitted++), entry);
+        held.push_back({entry, false});
+      }
+      if (held.size() > 12) {  // the last holder of one entry lets go
+        held.erase(held.begin() + rng.Uniform(0, 12));
+      }
+
+      const std::string table = pick(tables);
+      switch (rng.Uniform(0, 9)) {
+        case 0:
+        case 1:
+        case 2: {
+          const std::string x = pick(grantees);
+          const std::string y = pick(purposes);
+          const bool flipped = !protected_by(table);
+          Policy policy =
+              campus.MakePolicy(static_cast<int>(rng.Uniform(0, 9)), x, y);
+          policy.table_name = table;
+          auto id = sieve.AddPolicy(std::move(policy));
+          ASSERT_TRUE(id.ok()) << id.status().ToString();
+          live.push_back(*id);
+          policy_event(x, y, table, flipped);
+          break;
+        }
+        case 3:
+        case 4: {
+          if (live.empty()) break;
+          const size_t k = static_cast<size_t>(
+              rng.Uniform(0, static_cast<int64_t>(live.size()) - 1));
+          const Policy* found = sieve.policies().FindPolicy(live[k]);
+          ASSERT_NE(found, nullptr);
+          const Policy removed = *found;
+          ASSERT_TRUE(sieve.policies().RemovePolicy(live[k]).ok());
+          live.erase(live.begin() + static_cast<int64_t>(k));
+          policy_event(removed.querier, removed.purpose, removed.table_name,
+                       !protected_by(removed.table_name));
+          break;
+        }
+        case 5: {
+          GuardedExpression ge;
+          ge.querier = pick(users);
+          ge.purpose = pick(purposes);
+          ge.table_name = table;
+          const std::string q = ge.querier;
+          const std::string p = ge.purpose;
+          ASSERT_TRUE(sieve.guards().Put(std::move(ge)).ok());
+          guard_event(q, p, table);
+          break;
+        }
+        case 6: {
+          const std::string q = pick(users);
+          const std::string p = pick(purposes);
+          sieve.guards().MarkOutdated(q, p, table);
+          guard_event(q, p, table);
+          break;
+        }
+        case 7:
+          ASSERT_TRUE(sieve.policies().LoadFromTables().ok());
+          for (Held& h : held) h.stale = true;
+          break;
+        case 8:
+          cache.Clear();
+          for (Held& h : held) h.stale = true;
+          break;
+        default:
+          break;  // no mutation: every verdict holds still
+      }
+
+      if (rng.Chance(0.5)) {
+        // Evict every held entry, as a capacity-1 cache would.
+        for (size_t i = 0; i < RewriteCache::kMaxEntries; ++i) {
+          cache.Insert(StrFormat("filler-%d-%zu", step, i),
+                       std::make_shared<PreparedRewrite>());
+        }
+        EXPECT_EQ(cache.Lookup("held-" + std::to_string(admitted - 1), false),
+                  nullptr);
+      }
+      for (const Held& h : held) {
+        EXPECT_EQ(h.entry->stale(), h.stale)
+            << "step " << step << ": " << h.entry->querier << "/"
+            << h.entry->purpose << " on " << h.entry->dep_tables.front();
+      }
+    }
+  }
 }
 
 }  // namespace
